@@ -7,10 +7,14 @@ with a Farkas certificate: nonnegative multipliers over the canonical
 ``c < 0``.  Certificates can be re-checked independently of the solver with
 :func:`check_certificate`.
 
-Implementation: two-phase primal simplex on the full tableau, Bland's rule
-throughout (deterministic, cycle-free), rows normalized to unit Euclidean
-norm.  Problem sizes in this package are small (at most a few hundred rows),
-so no sparsity or revised-simplex machinery is used.
+Implementation: two-phase primal simplex on the full dense tableau, Bland's
+rule throughout (deterministic, cycle-free), rows normalized to unit
+Euclidean norm.  Problem sizes in this package are small (at most a few
+hundred rows), so there is no revised simplex; the one concession to
+sparsity is the pivot's rank-1 update, applied in place and only to the rows
+with a nonzero entry in the pivot column.  The rows it skips would subtract
+``0 * pivot_row`` and stay unchanged, so the tableau, and with it every pivot
+choice, is the same as with the full dense update.
 """
 
 from __future__ import annotations
@@ -54,6 +58,18 @@ class LinearProgram:
             raise ValueError("num_vars must be >= 1")
         self._labels = {r[3] for r in self.rows}
 
+    @classmethod
+    def from_rows(cls, num_vars, rows, objective=None):
+        """LP over rows that are already well formed, without per-row checks.
+
+        Each row must be ``(a, rel, b, label)`` as :meth:`add` stores it: a
+        float array of length ``num_vars``, a valid relation, a float ``b``
+        and a label unique among ``rows``.  Callers that assemble rows from
+        checked parts (the reach-query encoding, sub-systems of an existing
+        LP) use this to skip :meth:`add`'s validation.
+        """
+        return cls(num_vars, list(rows), objective)
+
     def add(self, a, rel, b, label):
         a = np.asarray(a, dtype=float).reshape(-1)
         if a.shape != (self.num_vars,):
@@ -78,11 +94,7 @@ class LinearProgram:
     def restricted_to(self, labels):
         """Feasibility-only copy containing just the rows with the given labels."""
         keep = set(labels)
-        sub = LinearProgram(self.num_vars)
-        for a, rel, b, label in self.rows:
-            if label in keep:
-                sub.add(a, rel, b, label)
-        return sub
+        return LinearProgram.from_rows(self.num_vars, [r for r in self.rows if r[3] in keep])
 
 
 @dataclass(frozen=True)
@@ -189,23 +201,20 @@ def solve(lp, max_iters=None):
     DA = sigma[:, None] * A
     T[:m, 0:n] = DA
     T[:m, n:2 * n] = -DA
-    T[:m, 2 * n:2 * n + m] = np.diag(sigma)
-    for k, i in enumerate(art_rows):
-        T[i, 2 * n + m + k] = 1.0
+    T[np.arange(m), 2 * n + np.arange(m)] = sigma
+    art_cols = 2 * n + m + np.arange(n_art)
+    T[art_rows, art_cols] = 1.0
     T[:m, -1] = sigma * b
 
-    basis = np.empty(m, dtype=int)
-    basis[:] = 2 * n + np.arange(m)
-    for k, i in enumerate(art_rows):
-        basis[i] = 2 * n + m + k
+    basis = 2 * n + np.arange(m)
+    basis[art_rows] = art_cols
 
-    # Phase-1 objective: minimize the artificial total.
-    cost = np.zeros(ncols)
-    cost[2 * n + m:] = 1.0
-    T[m, :ncols] = cost
-    for i in range(m):
-        if cost[basis[i]] != 0.0:
-            T[m] -= cost[basis[i]] * T[i]
+    # Phase-1 objective: minimize the artificial total.  The cost row is
+    # priced out one basic artificial at a time, in row order; a summed
+    # reduction would round differently and could change the pivots.
+    T[m, 2 * n + m:ncols] = 1.0
+    for i in art_rows:
+        T[m] -= T[i]
 
     if max_iters is None:
         max_iters = 2000 + 50 * (m + ncols)
@@ -224,28 +233,13 @@ def solve(lp, max_iters=None):
             raise LpNumericalError("infeasibility certificate failed its own audit")
         return Infeasible(cert)
 
-    # Feasible.  Drive any lingering zero-level artificials out of the basis.
-    for i in range(m):
-        if basis[i] >= 2 * n + m:
-            pivot_col = -1
-            for j in range(2 * n + m):
-                if abs(T[i, j]) > EPS_PIVOT:
-                    pivot_col = j
-                    break
-            if pivot_col >= 0:
-                _pivot(T, basis, i, pivot_col)
-            # else: redundant row; the artificial stays basic at level ~0.
-
-    def extract_point():
-        x = np.zeros(n)
-        for i in range(m):
-            j = basis[i]
-            v = T[i, -1]
-            if j < n:
-                x[j] += v
-            elif j < 2 * n:
-                x[j - n] -= v
-        return x
+    # Feasible.  Drive any lingering zero-level artificials out of the basis,
+    # each on the first column with a usable pivot.
+    for i in np.nonzero(basis >= 2 * n + m)[0]:
+        cols = np.nonzero(np.abs(T[i, :2 * n + m]) > EPS_PIVOT)[0]
+        if len(cols):
+            _pivot(T, basis, i, int(cols[0]))
+        # else: redundant row; the artificial stays basic at level ~0.
 
     objective_value = None
     if lp.objective is not None:
@@ -256,16 +250,20 @@ def solve(lp, max_iters=None):
         cost2[n:2 * n] = -c_sim
         T[m, :ncols] = cost2
         T[m, -1] = 0.0
-        for i in range(m):
-            if cost2[basis[i]] != 0.0:
-                T[m] -= cost2[basis[i]] * T[i]
+        basic_cost = cost2[basis]
+        for i in np.nonzero(basic_cost)[0]:
+            T[m] -= basic_cost[i] * T[i]
         status = _run_simplex(T, basis, entering_block=2 * n + m, max_iters=max_iters)
         if status == "unbounded":
             return Unbounded(direction)
         value = -T[m, -1]
         objective_value = float(value if direction == "min" else -value)
 
-    point = extract_point()
+    # x = xp - xm; each column is basic in at most one row, others are zero.
+    split = np.zeros(2 * n)
+    in_x = basis < 2 * n
+    split[basis[in_x]] = T[:m, -1][in_x]
+    point = split[:n] - split[n:]
     worst = _max_violation(A, b, point)
     if worst > EPS_FEAS:
         raise LpNumericalError(f"feasible point violates a row by {worst:.3e}")
@@ -295,10 +293,14 @@ def _max_violation(A, b, x):
 
 
 def _pivot(T, basis, i, j):
+    """Pivot on (i, j): rank-1 update of the rows with a nonzero in column j."""
     T[i] /= T[i, j]
     col = T[:, j].copy()
     col[i] = 0.0
-    T -= np.outer(col, T[i])
+    rows = col.nonzero()[0]
+    block = T.take(rows, axis=0)
+    block -= col.take(rows)[:, None] * T[i]
+    T[rows] = block
     basis[i] = j
 
 
@@ -311,7 +313,6 @@ def _run_simplex(T, basis, entering_block, max_iters):
     m = T.shape[0] - 1
     limit = T.shape[1] - 1 if entering_block is None else entering_block
     for _ in range(max_iters):
-        enter = -1
         costrow = T[m, :limit]
         candidates = np.nonzero(costrow < -EPS_PIVOT)[0]
         if len(candidates) == 0:

@@ -20,7 +20,7 @@ from .geometry import (DegenerateSplitError, Hyperplane, augmented_set,
 from .graph import (UNSAFE, Edge, TransitionGraph, _bisect_region, _prune_against,
                     _unsafe_edge, cell_node, reach_box)
 from .scenario import PartitionCell, Scenario, scenario_sha256
-from .smc import build_encoding, solve
+from .smc import build_encoding, center_witness, solve
 
 
 class RefinementError(Exception):
@@ -55,15 +55,14 @@ class RefinementResult:
     plan: RefinementPlan
 
 
-def _witness_query(scenario, cell, region, q):
-    aug = augmented_set(region, q, scenario.dynamics.sigma)
-    return solve(build_encoding(scenario, cell, aug))
-
-
 def find_witness(scenario, graph, source, target):
     """Re-solve the edge's last satisfiable query and return (X, X_next).
 
-    For sink edges the dominant unsafe piece is used.  Raises
+    The query's sat outcome carries the audited leaf vertex, which may sit
+    on the target's boundary; this function centers it
+    (:func:`relusafe.smc.center_witness`), so the returned successor lies
+    as deep inside the target's chance set as the leaf's activation pattern
+    allows.  For sink edges the dominant unsafe piece is used.  Raises
     :class:`StaleGraphError` when the recorded threshold is no longer
     satisfiable (the graph predates a scenario change) and
     :class:`RefinementError` for edges at the precision floor, which never
@@ -84,9 +83,12 @@ def find_witness(scenario, graph, source, target):
         q = edge.q_lo if edge.q_lo > 0.0 else edge.bound - graph.dq
     if q <= 0.0:
         raise RefinementError(f"edge {source} -> {target} sits at the precision floor")
-    out = _witness_query(scenario, cell, region, q)
-    if not out.is_sat or out.witness_x is None:
+    problem = build_encoding(scenario, cell,
+                             augmented_set(region, q, scenario.dynamics.sigma))
+    out = solve(problem)
+    if out.status != "sat":
         raise StaleGraphError(f"edge {source} -> {target}: no witness at q={q}")
+    out = center_witness(problem, out)
     return out.witness_x, out.witness_x_next
 
 

@@ -57,11 +57,13 @@ class SmcNumericalError(SmcError):
 class SmcOutcome:
     """Verdict of a query.
 
-    ``status`` is "sat", "unsat" or "unknown" (node budget exhausted).
-    Budget exhaustion is treated as satisfiable by every caller so that
+    ``status`` is "sat", "unsat" or "unknown".  "unknown" means the search
+    could not decide: the node budget ran out, or an LP or the witness audit
+    failed numerically.  Every caller treats it as satisfiable so that
     downstream probability bounds stay on the safe side; ``is_sat`` folds
     that in.  For "sat", the witness state, its recomputed successor mean
-    and the neuron activation pattern are attached.
+    and the neuron activation pattern (the satisfied leaf's branch
+    assignment) are attached.
     """
 
     status: str
@@ -167,12 +169,7 @@ class SmcProblem:
                 rows.extend(self.branch_rows(j, assignment[j]))
             else:
                 rows.extend(self.relax_rows(j))
-        lp = linprog.LinearProgram.__new__(linprog.LinearProgram)
-        lp.num_vars = self.num_vars
-        lp.rows = rows
-        lp.objective = None
-        lp._labels = {r[3] for r in rows}
-        return lp
+        return linprog.LinearProgram.from_rows(self.num_vars, rows)
 
     def dump(self):
         """Human-readable listing of the constraint system, for audit."""
@@ -294,8 +291,14 @@ def solve(problem, node_budget=DEFAULT_NODE_BUDGET, presolve=True, phase_hint=No
 
     Search order is layer-major over neurons; branch values follow the sign
     of the relaxation LP's pre-activation (or ``phase_hint``, e.g. a witness
-    pattern from a neighboring query).  Exceeding ``node_budget`` returns
-    status "unknown", which callers must treat as satisfiable.
+    pattern from a neighboring query).  Exceeding ``node_budget``, or a
+    numerical failure of an LP or of the witness audit, returns status
+    "unknown", which callers must treat as satisfiable.
+
+    A sat outcome carries the satisfied leaf LP's vertex, audited by
+    replaying it through the network.  That vertex may sit on the target's
+    boundary; moving it toward the middle of the target is refinement's job
+    (:func:`center_witness`), since the verdict alone decides every bound.
     """
     N = problem.num_neurons
     clauses = []
@@ -357,8 +360,7 @@ def solve(problem, node_budget=DEFAULT_NODE_BUDGET, presolve=True, phase_hint=No
             clauses.append(clause)
             return None
         if len(assign) == N:
-            point = _center_witness(problem, assign, res.point, stats)
-            return _make_witness(problem, point, assign, stats)
+            return _make_witness(problem, res.point, assign, stats["lp"], stats["nodes"])
         j = next(k for k in range(N) if k not in assign)
         if phase_hint is not None and j < len(phase_hint):
             first = bool(phase_hint[j])
@@ -374,24 +376,28 @@ def solve(problem, node_budget=DEFAULT_NODE_BUDGET, presolve=True, phase_hint=No
 
     try:
         out = search(dict(forced))
-    except _BudgetExceeded:
+    except (_BudgetExceeded, linprog.LpNumericalError, SmcNumericalError):
         return SmcOutcome("unknown", lp_calls=stats["lp"], nodes=stats["nodes"])
     if out is None:
         return SmcOutcome("unsat", lp_calls=stats["lp"], nodes=stats["nodes"])
     return out
 
 
-def _center_witness(problem, assign, fallback, stats):
-    """Push the witness successor toward the middle of the target set.
+def center_witness(problem, outcome):
+    """The sat ``outcome`` with its witness pushed toward the target's middle.
 
-    Re-solves the satisfied leaf LP maximizing the minimum noise-scaled
-    slack of the target rows.  The leaf point is already feasible, so this
-    can only move the witness deeper into the chance set, which makes it a
-    better stand-in for the worst-case transition state that the refinement
-    step splits around.  Capped so halfspace targets stay bounded.
+    Re-solves the leaf LP of ``outcome.pattern`` maximizing the minimum
+    noise-scaled slack of the target rows.  The leaf point is already
+    feasible, so this can only move the witness deeper into the chance set,
+    which makes it a better stand-in for the worst-case transition state
+    that the refinement step splits around.  Capped so halfspace targets
+    stay bounded.  The centered point passes the same audit as the leaf
+    point; if the LP or that audit fails numerically, the audited leaf
+    witness is returned unchanged.
     """
     sigma = problem.scenario.dynamics.sigma
     nv = problem.num_vars
+    assign = {j: bool(v) for j, v in enumerate(outcome.pattern)}
     rows = []
     for a, rel, b, label in (list(problem.base_rows) + list(problem.target_rows)):
         if isinstance(label, tuple) and label[0] == "tgt":
@@ -407,19 +413,18 @@ def _center_witness(problem, assign, fallback, stats):
     cap[nv] = 1.0
     rows.append((cap, "<=", 100.0, ("slack_cap",)))
     rows.append((-cap, "<=", 0.0, ("slack_pos",)))
-    lp = linprog.LinearProgram.__new__(linprog.LinearProgram)
-    lp.num_vars = nv + 1
-    lp.rows = rows
-    lp.objective = ("max", cap.copy())
-    lp._labels = {r[3] for r in rows}
-    stats["lp"] += 1
-    res = linprog.solve(lp)
-    if isinstance(res, linprog.Feasible):
-        return res.point[:nv]
-    return fallback
+    lp = linprog.LinearProgram.from_rows(nv + 1, rows, objective=("max", cap.copy()))
+    try:
+        res = linprog.solve(lp)
+        if isinstance(res, linprog.Feasible):
+            return _make_witness(problem, res.point[:nv], assign,
+                                 outcome.lp_calls + 1, outcome.nodes)
+    except (linprog.LpNumericalError, SmcNumericalError):
+        pass
+    return outcome
 
 
-def _make_witness(problem, point, assign, stats):
+def _make_witness(problem, point, assign, lp_calls, nodes):
     """Replay the LP witness through the real network and audit it."""
     x = np.array(point[problem.xt])
     cell = problem.cell
@@ -448,7 +453,7 @@ def _make_witness(problem, point, assign, stats):
 
     full_pattern = np.array([assign[j] for j in range(problem.num_neurons)], dtype=bool)
     return SmcOutcome("sat", witness_x=x, witness_x_next=x_next,
-                      pattern=full_pattern, lp_calls=stats["lp"], nodes=stats["nodes"])
+                      pattern=full_pattern, lp_calls=lp_calls, nodes=nodes)
 
 
 def _preactivations(net, d):

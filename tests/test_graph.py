@@ -1,6 +1,8 @@
 """Transition graph: bisection mechanics, pruning guarantees, unsafe-edge
 decomposition, build structure, and document persistence."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -243,3 +245,14 @@ def test_parallel_build_matches_serial(small_scenario):
         for e in serial.edges[v]:
             twin = parallel.edge(v, e.target)
             assert twin.bound == e.bound and twin.q_lo == e.q_lo
+
+
+@pytest.mark.parametrize("fixture, digest", [
+    ("demo_graph", "9b1317cc90aea2cece19f9a143da8f1849892c46e81d64a8182e2e445af97794"),
+    ("small_graph", "0da4221cf010fdf9aa2eb86b8da7e2179a8033a3d09744dbbfb32982db80b1d7"),
+])
+def test_saved_graph_bytes_pinned(request, fixture, digest):
+    """Every bound follows from sat/unsat verdicts alone; a solver change that
+    keeps every verdict keeps these bytes."""
+    doc = gr.save_graph(request.getfixturevalue(fixture))
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest

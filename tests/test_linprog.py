@@ -185,3 +185,36 @@ def test_duplicate_label_rejected():
     lp.add([1.0], "<=", 1.0, "same")
     with pytest.raises(ValueError):
         lp.add([1.0], "<=", 2.0, "same")
+
+
+def test_sparse_pivot_matches_dense_update(rng):
+    """The in-place update of the nonzero rows equals the full rank-1 update."""
+    for _ in range(200):
+        m, ncols = int(rng.integers(1, 12)), int(rng.integers(2, 20))
+        T = rng.normal(size=(m + 1, ncols + 1))
+        T[rng.random(size=T.shape) < 0.3] = 0.0
+        i, j = int(rng.integers(m)), int(rng.integers(ncols))
+        T[rng.random(size=m + 1) < 0.6, j] = 0.0
+        T[i, j] = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0)
+        basis = rng.permutation(ncols + m)[:m]
+
+        ref = T.copy()
+        ref[i] /= ref[i, j]
+        col = ref[:, j].copy()
+        col[i] = 0.0
+        ref = ref - np.outer(col, ref[i])
+        ref_basis = basis.copy()
+        ref_basis[i] = j
+
+        linprog._pivot(T, basis, i, j)
+        assert np.array_equal(T, ref)
+        assert np.array_equal(basis, ref_basis)
+
+
+def test_from_rows_matches_checked_construction():
+    checked = lp_from_rows([[1.0, 2.0], [-1.0, 0.5]], [3.0, 1.0], ["<=", "="])
+    trusted = linprog.LinearProgram.from_rows(2, checked.rows)
+    assert trusted.rows == checked.rows and trusted.rows is not checked.rows
+    assert np.array_equal(linprog.solve(trusted).point, linprog.solve(checked).point)
+    with pytest.raises(ValueError):
+        trusted.add([0.0, 1.0], "<=", 1.0, "r0")  # labels are tracked

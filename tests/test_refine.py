@@ -8,8 +8,9 @@ from relusafe import graph as gr
 from relusafe import montecarlo as mc
 from relusafe import refine as rf
 from relusafe import scenario as sc
+from relusafe import smc
 from relusafe import verifier as vf
-from relusafe.geometry import Polytope, chebyshev_center
+from relusafe.geometry import Polytope, augmented_set, chebyshev_center
 from relusafe.scenario import validate_scenario
 
 
@@ -201,3 +202,28 @@ def test_chebyshev_radius_drops_after_split(refinable):
     for sub in (idx, idx + 1):
         _, r = chebyshev_center(result.scenario.partition[sub].region)
         assert r <= parent_radius + 1e-9
+
+
+def test_find_witness_centers_the_leaf_witness(demo_scenario, demo_graph):
+    """find_witness returns a successor at least as deep in the target's
+    chance set, in noise-normalized slack, as the leaf witness of the same
+    query, and deeper on some edge."""
+    sigma = demo_scenario.dynamics.sigma
+
+    def depth(aug, x_next):
+        spread = np.sqrt((aug.A ** 2) @ sigma ** 2)
+        return float(np.min((aug.b - aug.A @ x_next) / spread))
+
+    gains = []
+    for source in demo_graph.cell_nodes()[:4]:
+        cell = demo_scenario.partition[source.cells[0]]
+        for edge in demo_graph.edges[source]:
+            if edge.method != "smc" or edge.q_lo <= 0.0:
+                continue
+            region = demo_scenario.partition[edge.target.cells[0]].region
+            aug = augmented_set(region, edge.q_lo, sigma)
+            leaf = smc.solve(smc.build_encoding(demo_scenario, cell, aug))
+            _, x_next = rf.find_witness(demo_scenario, demo_graph, source, edge.target)
+            gains.append(depth(aug, x_next) - depth(aug, leaf.witness_x_next))
+    assert gains and min(gains) >= -1e-6
+    assert max(gains) > 1e-3

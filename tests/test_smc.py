@@ -6,7 +6,8 @@ import itertools
 import numpy as np
 import pytest
 
-from relusafe import smc
+from relusafe import graph as gr
+from relusafe import linprog, smc
 from relusafe import scenario as sc
 from relusafe.geometry import Polytope, augmented_set
 
@@ -210,6 +211,63 @@ def test_budget_exhaustion_reports_unknown():
         assert out.is_sat  # treated as satisfiable downstream
     else:
         assert out.nodes <= 1
+
+
+@pytest.mark.parametrize("site", ["lp", "witness"])
+def test_numerical_failure_is_unknown_and_conservative(small_scenario, monkeypatch, site):
+    """A numerical failure inside a query, injected at every call in turn,
+    yields "unknown" rather than a crash, and bisection then returns a
+    bracket no lower than the fault-free one."""
+    module, name, error = {
+        "lp": (linprog, "solve", linprog.LpNumericalError),
+        "witness": (smc, "_make_witness", smc.SmcNumericalError),
+    }[site]
+    real = getattr(module, name)
+    calls = []
+    fail_at = 0
+
+    def faulty(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == fail_at:
+            raise error("injected fault")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, faulty)
+    cell = small_scenario.partition[4]
+    sigma = small_scenario.dynamics.sigma
+
+    fail_at = 1
+    problem = smc.build_encoding(small_scenario, cell,
+                                 augmented_set(cell.region, 0.5, sigma))
+    assert smc.solve(problem).status == "unknown"
+    assert calls
+
+    moved = 0
+    for target in (4, 5):  # all-sat and all-unsat brackets at dq = 0.05
+        region = small_scenario.partition[target].region
+        calls.clear()
+        fail_at = 0
+        clean = gr._bisect_region(small_scenario, cell, region, 0.05)
+        for fail_at in range(1, len(calls) + 1):
+            calls.clear()
+            lo, hi = gr._bisect_region(small_scenario, cell, region, 0.05)
+            assert lo >= clean[0] and hi >= clean[1]
+            moved += (lo, hi) != clean
+    assert moved or site == "witness"
+
+
+def test_center_witness_keeps_leaf_witness_on_numerical_failure(small_scenario, monkeypatch):
+    cell = small_scenario.partition[4]
+    problem = smc.build_encoding(small_scenario, cell, augmented_set(
+        cell.region, 0.5, small_scenario.dynamics.sigma))
+    leaf = smc.solve(problem)
+    assert leaf.status == "sat"
+
+    def broken(lp):
+        raise linprog.LpNumericalError("injected fault")
+
+    monkeypatch.setattr(linprog, "solve", broken)
+    assert smc.center_witness(problem, leaf) is leaf
 
 
 def test_dump_names_all_neurons(demo_scenario):
