@@ -152,17 +152,24 @@ def check_certificate(lp, certificate, tol=EPS_CERT):
     per coordinate) and sum of y_i * b_i is strictly negative.
     """
     rows = {(label, side): (a, b) for a, b, label, side in canonical_rows(lp)}
-    combo = np.zeros(lp.num_vars)
-    rhs = 0.0
+    terms = []
     for entry in certificate:
-        if entry.weight < 0:
-            return False
         key = (entry.label, entry.side)
         if key not in rows:
             return False
-        a, b = rows[key]
-        combo += entry.weight * a
-        rhs += entry.weight * b
+        terms.append((entry.weight, *rows[key]))
+    return _farkas_holds(terms, lp.num_vars, tol)
+
+
+def _farkas_holds(terms, num_vars, tol):
+    """Farkas conditions on ``(weight, a, b)`` terms, accumulated in order."""
+    combo = np.zeros(num_vars)
+    rhs = 0.0
+    for weight, a, b in terms:
+        if weight < 0:
+            return False
+        combo += weight * a
+        rhs += weight * b
     return bool(np.max(np.abs(combo)) <= tol and rhs < 0)
 
 
@@ -225,11 +232,10 @@ def solve(lp, max_iters=None):
         # Infeasible: the phase-1 dual read off the slack reduced costs is a
         # Farkas vector for the scaled rows.
         y = np.maximum(T[m, 2 * n:2 * n + m], 0.0) / scale
-        cert = tuple(
-            CertEntry(rows[i][2], rows[i][3], float(y[i]))
-            for i in np.nonzero(y > 1e-14)[0]
-        )
-        if not check_certificate(lp, cert):
+        support = np.nonzero(y > 1e-14)[0]
+        cert = tuple(CertEntry(rows[i][2], rows[i][3], float(y[i])) for i in support)
+        terms = [(e.weight, rows[i][0], rows[i][1]) for e, i in zip(cert, support)]
+        if not _farkas_holds(terms, n, EPS_CERT):
             raise LpNumericalError("infeasibility certificate failed its own audit")
         return Infeasible(cert)
 

@@ -117,6 +117,24 @@ class ReluNetwork:
         return int(sum(self.hidden_widths))
 
 
+def nn_evaluate(net, d):
+    """Evaluate the network; returns (u, t).
+
+    ``t`` concatenates the hidden-layer pre-activations in layer-major order.
+    """
+    d = np.asarray(d, dtype=float).reshape(-1)
+    if d.shape != (net.input_dim,):
+        raise ScenarioError(f"network input length {d.shape[0]} != {net.input_dim}")
+    h = d
+    pre = []
+    for W, w in net.layers[:-1]:
+        t = W @ h + w
+        pre.append(t)
+        h = np.maximum(t, 0.0)
+    W, w = net.layers[-1]
+    return W @ h + w, np.concatenate(pre)
+
+
 def nn_forward(net, d):
     """Evaluate the network; returns (u, pattern).
 
@@ -124,18 +142,8 @@ def nn_forward(net, d):
     (pre-activation > 0) over the hidden layers in layer-major order.
     Ties at exactly zero count as inactive.
     """
-    d = np.asarray(d, dtype=float).reshape(-1)
-    if d.shape != (net.input_dim,):
-        raise ScenarioError(f"nn_forward: input length {d.shape[0]} != {net.input_dim}")
-    h = d
-    flags = []
-    for W, w in net.layers[:-1]:
-        t = W @ h + w
-        flags.append(t > 0.0)
-        h = np.maximum(t, 0.0)
-    W, w = net.layers[-1]
-    u = W @ h + w
-    return u, np.concatenate(flags)
+    u, t = nn_evaluate(net, d)
+    return u, t > 0.0
 
 
 def nn_forward_batch(net, D):

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linprog
-from .scenario import nn_forward
+from .scenario import nn_evaluate
 
 # Strict-inequality relaxation for the inactive branch.
 EPS_STRICT = 1e-9
@@ -433,14 +433,13 @@ def _make_witness(problem, point, assign, lp_calls, nodes):
     if np.max((region.A @ x - region.b) / norms) > TIE_TOL:
         raise SmcNumericalError("witness state fell outside its source cell")
 
-    u, pattern = nn_forward(problem.scenario.controller, cell.measure(x))
+    u, t_vals = nn_evaluate(problem.scenario.controller, cell.measure(x))
     dyn = problem.scenario.dynamics
     x_next = dyn.A @ x + dyn.B @ u
 
     # Pattern must match the branch assignment except at ties.
-    t_vals = _preactivations(problem.scenario.controller, cell.measure(x))
     for j in range(problem.num_neurons):
-        if bool(pattern[j]) != assign[j] and abs(t_vals[j]) > TIE_TOL:
+        if bool(t_vals[j] > 0.0) != assign[j] and abs(t_vals[j]) > TIE_TOL:
             raise SmcNumericalError(f"witness pattern mismatch at neuron {j}")
 
     target = problem.target
@@ -454,16 +453,6 @@ def _make_witness(problem, point, assign, lp_calls, nodes):
     full_pattern = np.array([assign[j] for j in range(problem.num_neurons)], dtype=bool)
     return SmcOutcome("sat", witness_x=x, witness_x_next=x_next,
                       pattern=full_pattern, lp_calls=lp_calls, nodes=nodes)
-
-
-def _preactivations(net, d):
-    vals = []
-    h = np.asarray(d, dtype=float)
-    for W, w in net.layers[:-1]:
-        t = W @ h + w
-        vals.append(t)
-        h = np.maximum(t, 0.0)
-    return np.concatenate(vals)
 
 
 def check_pattern(problem, pattern):

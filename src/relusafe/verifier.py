@@ -19,6 +19,13 @@ weighted sum:
 Merged nodes are per-step scratch: every horizon step restarts from the
 original graph, and merged nodes carry no outgoing edges; only their bound,
 the max over members, enters the recursion.
+
+Merging needs a threshold ``p`` in (0, 0.5), the range of the union-bound
+argument above.  ``verify`` decides the separation of every pair of cells
+once per call (one emptiness LP each), then merges each owner's row on its
+own: owners do not interact within a horizon step, so one greedy pass per
+owner reaches the fixpoint.  The greedy step works on arrays over the row
+(bounds, node values, group separation, pair slack).
 """
 
 from __future__ import annotations
@@ -27,6 +34,8 @@ import copy
 import csv
 import io
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .geometry import augmented_set, cell_unsafe_overlap, is_empty_intersection
 from .graph import UNSAFE, Edge, NodeId, cell_node, merged_node
@@ -58,11 +67,7 @@ class SafetyBounds:
     merges: list = field(default_factory=list)
 
     def value(self, k, node):
-        if node.kind == "unsafe":
-            return 1.0
-        if node.kind == "merged":
-            return max(self.per_k[k][cell_node(c)] for c in node.cells)
-        return self.per_k[k][node]
+        return node_bound(self.per_k[k], node)
 
     def cell_nodes(self):
         return sorted(v for v in self.per_k[0] if v.kind == "cell")
@@ -129,63 +134,101 @@ def tpn_step(graph, bounds_k):
     return out
 
 
-def _node_cells(node):
-    return node.cells
+def _check_merge_p(p):
+    if not (0.0 < p < 0.5):
+        raise VerifierError("merge threshold p must lie in (0, 0.5)")
 
 
-def _groups_separated(regions, sigma, node_a, node_b, p, cache):
-    """Pairwise emptiness of the grown chance sets of two target groups."""
-    for a in _node_cells(node_a):
-        for b in _node_cells(node_b):
-            key = (min(a, b), max(a, b))
-            hit = cache.get(key)
-            if hit is None:
-                aug_a = augmented_set(regions[cell_node(a)], p, sigma)
-                aug_b = augmented_set(regions[cell_node(b)], p, sigma)
-                hit = is_empty_intersection(aug_a, aug_b)
-                cache[key] = hit
-            if not hit:
-                return False
-    return True
+def _separation(graph, p, cells):
+    """Boolean matrix ``S[a, b]``: the grown chance sets of cells a and b are disjoint.
+
+    One emptiness LP per unordered pair of ``cells`` (cell indices); rows and
+    columns of other indices, and the diagonal, stay False.
+    """
+    cells = sorted(cells)
+    size = cells[-1] + 1 if cells else 0
+    sep = np.zeros((size, size), dtype=bool)
+    grown = [augmented_set(graph.regions[cell_node(c)], p, graph.sigma) for c in cells]
+    for i, a in enumerate(cells):
+        for j in range(i + 1, len(cells)):
+            b = cells[j]
+            sep[a, b] = sep[b, a] = is_empty_intersection(grown[i], grown[j])
+    return sep
 
 
-def _merge_owner(row, owner, p, bounds_k, regions, sigma, cache, horizon):
+def _group_separation(sep, groups):
+    """``G[i, j]``: every cell of group i is separated from every cell of group j."""
+    flat = [c for g in groups for c in g]
+    starts = np.cumsum([0] + [len(g) for g in groups[:-1]])
+    cell_level = sep[np.ix_(flat, flat)]
+    return np.logical_and.reduceat(np.logical_and.reduceat(cell_level, starts, axis=0),
+                                   starts, axis=1)
+
+
+def _union_bound(bx, by, p):
+    """Edge bound of the virtual union of two separated targets."""
+    return np.minimum(1.0, np.maximum(np.maximum(bx, by) + p, 2.0 * p))
+
+
+def _pair_slack(bx, vx, by, vy, p):
+    """Drop of the owner's propagated sum when targets x and y are merged."""
+    return bx * vx + by * vy - _union_bound(bx, by, p) * np.maximum(vx, vy)
+
+
+def _merge_owner(row, owner, p, bounds_k, sep, horizon):
     """Greedy merging of one owner's targets to a local fixpoint.
 
-    ``row`` is mutated in place.  Candidate pairs must pass both gates:
-    geometric separation of the grown sets and a strict improvement of the
-    owner's propagated sum; among passing pairs the largest improvement is
-    applied first.  Returns the merge records.
+    ``row`` is mutated in place; ``sep`` is the cell separation matrix of
+    :func:`_separation`.  A candidate pair must have separated groups and a
+    strictly positive slack (a strict improvement of the owner's propagated
+    sum).  The largest slack is applied first; ties go to the larger
+    ``(target_x, target_y)``, x before y in row order.  The merged edge goes to
+    the end of the row.  Returns the merge records.
+
+    Every target, original or merged, owns one slot of the arrays: bound
+    ``b``, node value ``v`` (max over members), group separation ``G`` (False
+    for the unsafe sink and for replaced targets) and pair slack.  Merged
+    targets take fresh slots in creation order, so slot order is row order.
     """
+    n = len(row)
+    targets = [e.target for e in row]
+    groups = [i for i, t in enumerate(targets) if t.kind != "unsafe"]
+    if len(groups) < 2:
+        return []
+    size = 2 * n - 1
+    b = np.zeros(size)
+    v = np.zeros(size)
+    b[:n] = [e.bound for e in row]
+    v[:n] = [node_bound(bounds_k, t) for t in targets]
+    G = np.zeros((size, size), dtype=bool)
+    G[np.ix_(groups, groups)] = _group_separation(sep, [targets[i].cells for i in groups])
+    slack = _pair_slack(b[:, None], v[:, None], b, v, p)
+    upper = np.triu(np.ones((size, size), dtype=bool), 1)
+    slots = list(range(n))    # row position -> slot
     records = []
     while True:
-        best = None
-        for xi in range(len(row)):
-            for yi in range(xi + 1, len(row)):
-                ex, ey = row[xi], row[yi]
-                if ex.target.kind == "unsafe" or ey.target.kind == "unsafe":
-                    continue
-                pk_x = node_bound(bounds_k, ex.target)
-                pk_y = node_bound(bounds_k, ey.target)
-                new_bound = min(1.0, max(max(ex.bound, ey.bound) + p, 2.0 * p))
-                lhs = new_bound * max(pk_x, pk_y)
-                rhs = ex.bound * pk_x + ey.bound * pk_y
-                slack = rhs - lhs
-                if slack <= 0.0:
-                    continue
-                if not _groups_separated(regions, sigma, ex.target, ey.target, p, cache):
-                    continue
-                key = (slack, ex.target, ey.target)
-                if best is None or key > best[0]:
-                    best = (key, xi, yi, new_bound)
-        if best is None:
+        score = np.where(G, slack, -np.inf)
+        best = score.max()
+        if not best > 0.0:
             return records
-        (_, xi, yi, new_bound) = best
-        ex, ey = row[xi], row[yi]
-        node = merged_node(_node_cells(ex.target) + _node_cells(ey.target))
-        del row[yi], row[xi]
+        ties = zip(*np.nonzero((score == best) & upper))
+        x, y = max(ties, key=lambda xy: (targets[xy[0]], targets[xy[1]]))
+        z = len(targets)
+        node = merged_node(targets[x].cells + targets[y].cells)
+        new_bound = float(_union_bound(b[x], b[y], p))
+        b[z] = new_bound
+        v[z] = max(v[x], v[y])
+        G[z] = G[:, z] = G[x] & G[y]
+        G[[x, y]] = False
+        G[:, [x, y]] = False
+        slack[z] = slack[:, z] = _pair_slack(b, v, b[z], v[z], p)
+        targets.append(node)
+        del row[slots.index(y)], row[slots.index(x)]
+        slots.remove(x)
+        slots.remove(y)
+        slots.append(z)
         row.append(Edge(target=node, bound=new_bound, method="merged"))
-        records.append(MergeRecord(owner=owner, members=(ex.target, ey.target),
+        records.append(MergeRecord(owner=owner, members=(targets[x], targets[y]),
                                    merged=node, new_bound=new_bound, horizon=horizon))
 
 
@@ -196,15 +239,14 @@ def merge_pass(graph, owner, p, bounds_k):
     ``TransitionGraph.bind_scenario``).  Merged target nodes get no outgoing
     edges; their safety bound is the max over members.
     """
-    if not (0.0 < p < 0.5):
-        raise VerifierError("merge threshold p must lie in (0, 0.5)")
+    _check_merge_p(p)
     if graph.sigma is None or not graph.regions:
         raise VerifierError("graph lacks scenario bindings; call bind_scenario first")
     new_graph = copy.copy(graph)
     new_graph.edges = {v: list(r) for v, r in graph.edges.items()}
     row = new_graph.edges[owner]
-    records = _merge_owner(row, owner, p, bounds_k, new_graph.regions,
-                           new_graph.sigma, {}, horizon=0)
+    sep = _separation(new_graph, p, {c for e in row for c in e.target.cells})
+    records = _merge_owner(row, owner, p, bounds_k, sep, horizon=0)
     for rec in records:
         if rec.merged not in new_graph.nodes:
             new_graph.nodes = list(new_graph.nodes) + [rec.merged]
@@ -215,36 +257,35 @@ def verify(graph, scenario, horizon, p=0.01, mode="merge+tpn"):
     """Propagate bounds to the given horizon under the chosen mode.
 
     Modes: "naive" (plain sum), "merge" (merging + plain sum), "tpn"
-    (normalized sum), "merge+tpn" (both).  Each horizon step copies the
-    original graph, merges to a fixpoint where enabled, then propagates for
-    every original cell.
+    (normalized sum), "merge+tpn" (both).  The merge modes need
+    ``0 < p < 0.5``; the others ignore ``p``.  Each horizon step copies the
+    original graph, merges each owner's row to its fixpoint where enabled,
+    then propagates for every original cell.
     """
     if mode not in MODES:
         raise VerifierError(f"unknown mode {mode!r}; expected one of {MODES}")
     if horizon < 0:
         raise VerifierError("horizon must be >= 0")
+    do_merge = mode in ("merge", "merge+tpn")
+    if do_merge:
+        _check_merge_p(p)
     if graph.sigma is None or not graph.regions:
         graph.bind_scenario(scenario)
-    do_merge = mode in ("merge", "merge+tpn")
     value_fn = _tpn_value if mode in ("tpn", "merge+tpn") else _naive_value
 
     per_k = [init_p0(scenario)]
     merges = []
-    empt_cache = {}
     cells = graph.cell_nodes()
+    if do_merge and horizon > 0:
+        sep = _separation(graph, p, [v.cells[0] for v in cells])
     for k in range(1, horizon + 1):
         prev = per_k[-1]
         work = {v: list(graph.edges[v]) for v in cells}
         if do_merge:
-            changed = True
-            while changed:
-                changed = False
-                for owner in cells:
-                    recs = _merge_owner(work[owner], owner, p, prev, graph.regions,
-                                        graph.sigma, empt_cache, horizon=k)
-                    if recs:
-                        changed = True
-                        merges.extend(recs)
+            # Owners do not interact within a step: each row reaches its
+            # fixpoint in one call.
+            for owner in cells:
+                merges.extend(_merge_owner(work[owner], owner, p, prev, sep, horizon=k))
         # A cell that can already be unsafe at step zero stays at one: some
         # of its states have hit the unsafe set before any transition, and
         # the within-horizon event only accumulates.

@@ -163,6 +163,23 @@ def test_nn_forward_against_reference(rng):
         assert np.array_equal(W @ h + w, u)
 
 
+def test_nn_evaluate_preactivations(rng):
+    layers = ((rng.normal(size=(4, 3)), rng.normal(size=4)),
+              (rng.normal(size=(3, 4)), rng.normal(size=3)),
+              (rng.normal(size=(2, 3)), rng.normal(size=2)))
+    net = sc.ReluNetwork(layers=layers, input_dim=3)
+    for _ in range(20):
+        d = rng.normal(size=3)
+        u, t = sc.nn_evaluate(net, d)
+        assert t.shape == (7,)
+        first = layers[0][0] @ d + layers[0][1]
+        assert np.array_equal(t[:4], first)
+        assert np.array_equal(t[4:], layers[1][0] @ np.maximum(first, 0.0) + layers[1][1])
+        u_fwd, pattern = sc.nn_forward(net, d)
+        assert np.array_equal(u, u_fwd)
+        assert np.array_equal(pattern, t > 0.0)
+
+
 def test_nn_forward_dimension_mismatch():
     net = sc.ReluNetwork(layers=((np.eye(2), np.zeros(2)),
                                  (np.eye(2), np.zeros(2))), input_dim=2)

@@ -142,11 +142,10 @@ def test_witness_validity(rng):
         norms = np.linalg.norm(aug.A, axis=1)
         assert np.max((aug.A @ stepped - aug.b) / norms) <= smc.WITNESS_TOL
         assert np.allclose(stepped, out.witness_x_next)
-        _, pattern = sc.nn_forward(scenario.controller, cell.measure(out.witness_x))
-        t_vals = smc._preactivations(scenario.controller, cell.measure(out.witness_x))
+        _, t_vals = sc.nn_evaluate(scenario.controller, cell.measure(out.witness_x))
         for j in range(problem.num_neurons):
             if abs(t_vals[j]) > smc.TIE_TOL:
-                assert bool(pattern[j]) == bool(out.pattern[j])
+                assert bool(t_vals[j] > 0.0) == bool(out.pattern[j])
 
 
 def test_check_pattern_replays_witness(rng):

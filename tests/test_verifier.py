@@ -1,6 +1,8 @@
 """Bound propagation: the plain and normalized steps, merging gates,
 mode dominance, and CSV round trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -238,3 +240,126 @@ def test_csv_roundtrip(demo_bounds, demo_scenario):
 def test_csv_rejects_unknown_cell(demo_scenario):
     with pytest.raises(vf.VerifierError):
         vf.bounds_from_csv("cell_id,k,bound\nnope,0,0.5\n", demo_scenario)
+
+
+def test_merge_pass_tie_breaks_to_larger_target_pair():
+    """Equal slack on (1, 2) and (3, 4): the larger (target_x, target_y) wins."""
+    # Grown by 2.33 per side at p = 0.01, sigma = 1: only 1-2 and 3-4 stay
+    # apart; the long cells 3 and 4 reach into both 1 and 2.
+    regions = {0: Polytope.box([5, 0], [7, 1]),
+               1: Polytope.box([0, 0], [2, 1]),
+               2: Polytope.box([10, 0], [12, 1]),
+               3: Polytope.box([0, 3], [12, 4]),
+               4: Polytope.box([0, -4], [12, -3])}
+    graph = synthetic_graph(
+        {0: [(1, 0.5), (2, 0.5), (3, 0.5), (4, 0.5)], 1: [], 2: [], 3: [], 4: []},
+        sigma=[1.0, 1.0], regions=regions)
+    bounds = {gr.cell_node(i): 0.9 for i in range(1, 5)}
+    bounds[gr.cell_node(0)] = 0.0
+    bounds[gr.UNSAFE] = 1.0
+    new_graph, records = vf.merge_pass(graph, gr.cell_node(0), 0.01, bounds)
+    assert [rec.members for rec in records] == [
+        (gr.cell_node(3), gr.cell_node(4)), (gr.cell_node(1), gr.cell_node(2))]
+    assert [e.target for e in new_graph.edges[gr.cell_node(0)]] == [
+        gr.merged_node([3, 4]), gr.merged_node([1, 2])]
+
+
+@pytest.mark.parametrize("mode", ["merge", "merge+tpn"])
+@pytest.mark.parametrize("p", [0.0, -0.1, 0.5, 0.7])
+def test_verify_rejects_merge_threshold_outside_open_half(demo_graph, demo_scenario,
+                                                         mode, p):
+    with pytest.raises(vf.VerifierError, match="merge threshold"):
+        vf.verify(demo_graph, demo_scenario, horizon=2, p=p, mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["naive", "tpn"])
+def test_verify_ignores_merge_threshold_without_merging(demo_graph, demo_scenario, mode):
+    bounds = vf.verify(demo_graph, demo_scenario, horizon=1, p=0.7, mode=mode)
+    assert bounds.merges == [] and bounds.merge_p is None
+
+
+# SHA-256 of bounds_to_csv and of the merge records (one line per record,
+# "horizon owner member0 member1 merged repr(new_bound)") for the demo graph
+# at horizon 9, p = 0.01.
+DEMO_DIGESTS = {
+    "naive": ("65039158e8a696f6fbae2d268f578ac4c5bed5e25b6c5229fb415e4f0dbdc609", 0, None),
+    "merge": ("ddf7c2cc37658a3c33f4916512521be512bae72566e82cc24f4fef12fc987784", 2295,
+              "68283549093a655332a56933b09fa8c4c58dbf58098814b84d9c3f0b3963710f"),
+    "tpn": ("b7e932f4e98f2487a94e44ff86ae18ed13d7cdba896e8027296e27d3e29194e0", 0, None),
+    "merge+tpn": ("800e162367dbb841a0742595dba1b8f1deb692f27707ad5334ac3b88c3a4ba79", 1888,
+                  "0a5a1ddc4b16195059688ad8b474ef4e4db501d7d8044ef5316068bcef322537"),
+}
+
+
+@pytest.mark.parametrize("mode", vf.MODES)
+def test_demo_bounds_and_merges_pinned(demo_bounds, demo_scenario, mode):
+    bounds = demo_bounds[mode]
+    csv_digest, num_merges, merge_digest = DEMO_DIGESTS[mode]
+    assert hashlib.sha256(vf.bounds_to_csv(bounds, demo_scenario).encode()).hexdigest() \
+        == csv_digest
+    lines = [f"{r.horizon} {r.owner} {r.members[0]} {r.members[1]} {r.merged} "
+             f"{r.new_bound!r}" for r in bounds.merges]
+    assert len(lines) == num_merges
+    if lines:
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == merge_digest
+
+
+def reference_merge_owner(row, p, bounds_k, regions, sigma):
+    """Scalar greedy merge over the row, written independently of verifier:
+    the largest positive slack among separated pairs first, ties to the
+    larger (target_x, target_y)."""
+    from relusafe.geometry import augmented_set, is_empty_intersection
+
+    def separated(x, y):
+        return all(is_empty_intersection(
+            augmented_set(regions[gr.cell_node(a)], p, sigma),
+            augmented_set(regions[gr.cell_node(b)], p, sigma))
+            for a in x.cells for b in y.cells)
+
+    row = list(row)
+    merged = []
+    while True:
+        best = None
+        for xi in range(len(row)):
+            for yi in range(xi + 1, len(row)):
+                ex, ey = row[xi], row[yi]
+                if gr.UNSAFE in (ex.target, ey.target):
+                    continue
+                vx = vf.node_bound(bounds_k, ex.target)
+                vy = vf.node_bound(bounds_k, ey.target)
+                nb = min(1.0, max(max(ex.bound, ey.bound) + p, 2.0 * p))
+                slack = (ex.bound * vx + ey.bound * vy) - nb * max(vx, vy)
+                if slack > 0.0 and separated(ex.target, ey.target):
+                    key = (slack, ex.target, ey.target)
+                    if best is None or key > best[0]:
+                        best = (key, xi, yi, nb)
+        if best is None:
+            return row, merged
+        _, xi, yi, nb = best
+        node = gr.merged_node(row[xi].target.cells + row[yi].target.cells)
+        merged.append((row[xi].target, row[yi].target, node, nb))
+        del row[yi], row[xi]
+        row.append(gr.Edge(node, nb, method="merged"))
+
+
+def test_merge_pass_matches_scalar_reference(rng):
+    levels = [0.0, 0.3, 0.9, 1.0]
+    for _ in range(40):
+        n = int(rng.integers(2, 7))
+        corners = rng.integers(0, 10, size=(n + 1, 2)).astype(float)
+        regions = {i: Polytope.box(c, c + 1.0) for i, c in enumerate(corners)}
+        targets = [(i, float(rng.choice([0.1, 0.25, 0.5, 0.6]))) for i in range(1, n + 1)]
+        targets.insert(int(rng.integers(0, n)), ("unsafe", 0.01))
+        graph = synthetic_graph({0: targets, **{i: [] for i in range(1, n + 1)}},
+                                sigma=[0.3, 0.3], regions=regions)
+        owner = gr.cell_node(0)
+        # A second pass at other bounds starts from a row holding merged targets.
+        for p in (float(rng.choice([0.01, 0.05, 0.2])), 0.001):
+            bounds = {gr.cell_node(i): float(rng.choice(levels)) for i in range(n + 1)}
+            bounds[gr.UNSAFE] = 1.0
+            want_row, want = reference_merge_owner(graph.edges[owner], p, bounds,
+                                                   graph.regions, graph.sigma)
+            graph, records = vf.merge_pass(graph, owner, p, bounds)
+            assert [(r.members[0], r.members[1], r.merged, r.new_bound)
+                    for r in records] == want
+            assert graph.edges[owner] == want_row
