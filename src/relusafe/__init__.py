@@ -9,12 +9,15 @@ against :func:`estimate_true_pk`.
 from .geometry import (Halfspace, Hyperplane, Polytope, augmented_set,
                        cell_unsafe_overlap, chebyshev_center, gaussian_cdf,
                        gaussian_quantile, is_empty_intersection, split)
+# The package version is the tool version every saved graph records.
+from .graph import TOOL_VERSION as __version__
 from .graph import (UNSAFE, Edge, NodeId, TransitionGraph, build_graph,
                     cell_node, estimate_bound, load_graph, merged_node,
                     prune_test, save_graph, unsafe_bound)
 from .linprog import LinearProgram, check_certificate, minimal_infeasible_subset
-from .montecarlo import (McEstimate, Trajectory, estimate_transition,
-                         estimate_true_pk, simulate)
+from .montecarlo import (McEstimate, MonteCarloError, Trajectory,
+                         estimate_transition, estimate_true_pk,
+                         estimate_true_pk_curve, simulate)
 from .refine import (RefinementPlan, RefinementResult, find_witness,
                      propose_hyperplane, refine_cell, select_target)
 from .render import render_heatmap
@@ -27,5 +30,3 @@ from .smc import solve as solve_smc
 from .verifier import (MergeRecord, SafetyBounds, bounds_from_csv,
                        bounds_to_csv, init_p0, merge_pass, naive_step,
                        tpn_step, verify)
-
-__version__ = "0.1.0"

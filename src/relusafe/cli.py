@@ -181,8 +181,9 @@ def cmd_compare(args):
         writer.writerow([agg_name, "", T] + [repr(v) for v in cols] + [""])
 
     violations = 0
+    curve = montecarlo.estimate_true_pk_curve(scenario, probe, T, args.n, args.seed)
     for k in range(1, T + 1):
-        est = montecarlo.estimate_true_pk(scenario, probe, k, args.n, args.seed)
+        est = curve[k]
         row = ["mc", scenario.partition[probe].id, k]
         for mode in modes:
             if mode.startswith("refined"):
@@ -261,7 +262,10 @@ def main(argv=None):
     p.set_defaults(func=cmd_compare)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except montecarlo.MonteCarloError as exc:
+        raise SystemExit(f"monte-carlo error: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -6,10 +6,16 @@ reach-unsafe probabilities from uniformly sampled initial states.  These
 estimates are the falsifier for every bound the rest of the package
 computes: an estimate significantly above a bound is a soundness bug.
 
-Randomness comes from counter-based Philox streams keyed ``(seed, index)``:
-index 0 drives the initial-state sampler, index ``1 + i`` drives trajectory
-``i``.  Streams are independent across trajectories and reproducible from
-the seed alone.
+Initial states are independent and exactly uniform in the cell (rejection
+from its bounding box), so the binomial standard deviation reported with
+each estimate is the estimator's true sampling error.
+
+Randomness comes from counter-based Philox streams keyed ``(seed, index)``
+(:func:`stream`): index 0 drives the initial-state sampler, index ``1 + i``
+drives trajectory ``i``, which draws its whole noise sequence as one
+``(k, n)`` standard-normal block.  Streams are independent across
+trajectories and reproducible from the seed alone, and a shorter horizon
+sees a prefix of the same noise.
 """
 
 from __future__ import annotations
@@ -18,10 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import STRICT_MARGIN, chebyshev_center
+from .geometry import STRICT_MARGIN, GeometryError, chebyshev_center
 from .scenario import closed_loop_mean_step, nn_forward_batch
 
 _MASK64 = (1 << 64) - 1
+# Most points one rejection round of the sampler draws at once.
+_MAX_ROUND = 1 << 16
 
 
 class MonteCarloError(Exception):
@@ -59,23 +67,32 @@ def stream(seed, index):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _cell_index_many(scenario, points):
-    """First containing cell per point, -1 if none (first match wins)."""
-    idx = np.full(len(points), -1, dtype=int)
-    for k, cell in enumerate(scenario.partition):
-        mask = (idx < 0) & cell.region.contains_many(points)
-        idx[mask] = k
-    return idx
+def _stream_normals(seed, first_index, count, shape):
+    """``stream(seed, first_index + i).normal(size=shape)`` for each ``i < count``.
+
+    Builds one generator and re-keys it per stream: a freshly keyed Philox
+    is its key with a zero counter and an empty output buffer, so restoring
+    that state with the next key reproduces :func:`stream` bit for bit
+    without constructing a bit generator per stream.
+    """
+    gen = stream(seed, first_index)
+    bitgen = gen.bit_generator
+    fresh = bitgen.state
+    key = fresh["state"]["key"]
+    out = np.empty((count,) + tuple(shape))
+    for i in range(count):
+        key[1] = (first_index + i) & _MASK64
+        bitgen.state = fresh
+        out[i] = gen.normal(size=shape)
+    return out
 
 
 def _unsafe_mask(scenario, points, cell_idx):
     ws = scenario.workspace
-    pos = ws.project(points)
     bad = cell_idx < 0
     dom = ws.domain
     bad |= np.any(points @ dom.A.T - dom.b > STRICT_MARGIN, axis=1)
-    for obs in ws.obstacles:
-        bad |= np.all(pos @ obs.A.T - obs.b <= 0.0, axis=1)
+    bad |= ws.in_obstacle_many(points)
     return bad
 
 
@@ -87,35 +104,34 @@ def simulate_batch(scenario, x0s, k, seed, base_index=1):
     the stream ``(seed, base_index + i)`` that :func:`simulate` uses, drawn
     as one (k, n) block, so batched and single runs agree bit-for-bit.
     """
+    if k < 0:
+        raise MonteCarloError(f"horizon {k} is negative")
     x0s = np.asarray(x0s, dtype=float)
     N, n = x0s.shape
     dyn = scenario.dynamics
-    noise = np.empty((N, k, n))
-    for i in range(N):
-        noise[i] = stream(seed, base_index + i).normal(size=(k, n)) * dyn.sigma
+    noise = _stream_normals(seed, base_index, N, (k, n)) * dyn.sigma
+    Cs = np.stack([cell.C for cell in scenario.partition])
+    cs = np.stack([cell.c for cell in scenario.partition])
 
     states = np.empty((N, k + 1, n))
     states[:, 0] = x0s
     first_hit = np.full(N, k + 1, dtype=int)
     x = x0s.copy()
-    cell_idx = _cell_index_many(scenario, x)
+    cell_idx = scenario.cell_index_many(x)
     hit0 = _unsafe_mask(scenario, x, cell_idx)
     first_hit[hit0] = 0
     for t in range(k):
         u = np.zeros((N, dyn.m))
-        d = np.zeros((N, scenario.controller.input_dim))
         live = cell_idx >= 0
-        for c in np.unique(cell_idx[live]):
-            mask = cell_idx == c
-            cell = scenario.partition[c]
-            d[mask] = x[mask] @ cell.C.T + cell.c
         if np.any(live):
-            u[live] = nn_forward_batch(scenario.controller, d[live])
+            c = cell_idx[live]
+            d = np.einsum("ipn,in->ip", Cs[c], x[live]) + cs[c]
+            u[live] = nn_forward_batch(scenario.controller, d)
         x_next = x @ dyn.A.T + u @ dyn.B.T + noise[:, t]
         x_next[~live] = x[~live]  # no measurement map: hold position
         x = x_next
         states[:, t + 1] = x
-        cell_idx = _cell_index_many(scenario, x)
+        cell_idx = scenario.cell_index_many(x)
         unsafe = _unsafe_mask(scenario, x, cell_idx)
         fresh = unsafe & (first_hit > t + 1)
         first_hit[fresh] = t + 1
@@ -133,50 +149,79 @@ def simulate(scenario, x0, k, seed, index=0):
                       seed=seed, index=index)
 
 
-def sample_in_polytope(poly, n, rng, burn_in=50):
-    """Approximately uniform points via hit-and-run from the Chebyshev center."""
-    center, radius = chebyshev_center(poly)
+def sample_in_polytope(poly, n, rng):
+    """``n`` independent, exactly uniform points in a bounded polytope.
+
+    Rejection from the polytope's (memoized) bounding box: each round draws
+    uniform points in the box from ``rng`` and keeps those inside ``poly``,
+    until ``n`` are kept.  Rounds are sized from the acceptance rate seen so
+    far.  The points are independent of each other, unlike the steps of a
+    random walk, and their distribution does not depend on the polytope's
+    shape.  :func:`estimate_true_pk` passes stream ``(seed, 0)`` as ``rng``.
+    Raises :class:`MonteCarloError` for an empty, degenerate (zero
+    Chebyshev radius) or unbounded polytope, none of which has a uniform
+    distribution.
+    """
+    try:
+        _, radius = chebyshev_center(poly)
+    except GeometryError as exc:
+        raise MonteCarloError(f"cannot sample the polytope: {exc}") from exc
     if radius <= 0.0:
         raise MonteCarloError("cannot sample a degenerate polytope")
-    out = np.empty((n, poly.dim))
-    x = center.copy()
-    total = burn_in + n
-    for step in range(total):
-        direction = rng.normal(size=poly.dim)
-        direction /= np.linalg.norm(direction)
-        denom = poly.A @ direction
-        slack = poly.b - poly.A @ x
-        t_hi = np.inf
-        t_lo = -np.inf
-        pos = denom > 1e-12
-        neg = denom < -1e-12
-        if np.any(pos):
-            t_hi = np.min(slack[pos] / denom[pos])
-        if np.any(neg):
-            t_lo = np.max(slack[neg] / denom[neg])
-        if not np.isfinite(t_hi) or not np.isfinite(t_lo) or t_hi < t_lo:
-            t_lo, t_hi = 0.0, 0.0
-        x = x + rng.uniform(t_lo, t_hi) * direction
-        if step >= burn_in:
-            out[step - burn_in] = x
-    return out
+    lo, hi = poly.bounding_box()
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise MonteCarloError("cannot sample an unbounded polytope")
+    kept = [np.empty((0, poly.dim))]
+    need = n
+    drawn = accepted = 0
+    while need > 0:
+        batch = need if drawn == 0 else -(-need * drawn // max(accepted, 1))
+        pts = rng.uniform(lo, hi, size=(min(batch, _MAX_ROUND), poly.dim))
+        inside = pts[poly.contains_many(pts, tol=0.0)]
+        drawn += len(pts)
+        accepted += len(inside)
+        kept.append(inside[:need])
+        need -= len(kept[-1])
+    return np.concatenate(kept)
+
+
+def _estimate(cell_id, horizon, n, hits):
+    frac = float(hits / n)
+    return McEstimate(cell=cell_id, horizon=horizon, n_samples=n, hit_fraction=frac,
+                      stddev=float(np.sqrt(frac * (1.0 - frac) / n)))
+
+
+def estimate_true_pk_curve(scenario, cell, k, n, seed):
+    """MC estimates of reach-unsafe-within-j for every ``j = 0..k``.
+
+    One set of ``n`` rollouts over horizon ``k`` serves every ``j``: the
+    starts come from stream ``(seed, 0)`` and trajectory ``i`` from stream
+    ``(seed, 1 + i)``, whose first ``j`` noise rows are exactly the noise of
+    a horizon-``j`` rollout.  So entry ``j`` equals
+    ``estimate_true_pk(scenario, cell, j, n, seed)`` bit for bit.
+    """
+    if n < 1:
+        raise MonteCarloError("need at least one sample")
+    if k < 0:
+        raise MonteCarloError(f"horizon {k} is negative")
+    if isinstance(cell, (int, np.integer)):
+        if not 0 <= cell < scenario.num_cells:
+            raise MonteCarloError(f"cell index {cell} out of range 0..{scenario.num_cells - 1}")
+        cell = scenario.partition[int(cell)]
+    starts = sample_in_polytope(cell.region, n, stream(seed, 0))
+    _, first_hit = simulate_batch(scenario, starts, k, seed, base_index=1)
+    within = np.cumsum(np.bincount(first_hit, minlength=k + 2)[:k + 1])
+    return [_estimate(cell.id, j, n, within[j]) for j in range(k + 1)]
 
 
 def estimate_true_pk(scenario, cell, k, n, seed):
     """MC estimate of reach-unsafe-within-k from uniform starts in a cell.
 
     ``cell`` may be a PartitionCell or a cell index.  10^4 samples put the
-    binomial standard deviation at or below half a percent.
+    binomial standard deviation at or below half a percent.  The last entry
+    of :func:`estimate_true_pk_curve`.
     """
-    if n < 1:
-        raise MonteCarloError("need at least one sample")
-    if isinstance(cell, (int, np.integer)):
-        cell = scenario.partition[int(cell)]
-    starts = sample_in_polytope(cell.region, n, stream(seed, 0))
-    _, first_hit = simulate_batch(scenario, starts, k, seed, base_index=1)
-    frac = float(np.mean(first_hit <= k))
-    return McEstimate(cell=cell.id, horizon=k, n_samples=n, hit_fraction=frac,
-                      stddev=float(np.sqrt(frac * (1.0 - frac) / n)))
+    return estimate_true_pk_curve(scenario, cell, k, n, seed)[-1]
 
 
 def estimate_transition(scenario, x, target_region, n, seed, index=0):
@@ -186,7 +231,7 @@ def estimate_transition(scenario, x, target_region, n, seed, index=0):
     ``(seed, index)``.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    cell_idx = _cell_index_many(scenario, x[None, :])[0]
+    cell_idx = scenario.cell_index_many(x[None, :])[0]
     if cell_idx < 0:
         raise MonteCarloError("state lies in no cell")
     cell = scenario.partition[cell_idx]
@@ -194,6 +239,4 @@ def estimate_transition(scenario, x, target_region, n, seed, index=0):
     dyn = scenario.dynamics
     draws = stream(seed, index).normal(size=(n, dyn.n)) * dyn.sigma
     pts = mean + draws
-    frac = float(np.mean(target_region.contains_many(pts, tol=0.0)))
-    return McEstimate(cell=cell.id, horizon=1, n_samples=n, hit_fraction=frac,
-                      stddev=float(np.sqrt(frac * (1.0 - frac) / n)))
+    return _estimate(cell.id, 1, n, np.count_nonzero(target_region.contains_many(pts, tol=0.0)))

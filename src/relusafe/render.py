@@ -69,22 +69,13 @@ def render_heatmap(bounds, k, scenario, path, width=360):
     gx, gy = np.meshgrid(xs, ys[::-1])
     points = np.stack([gx.ravel(), gy.ravel()], axis=1)
 
-    cell_idx = np.full(len(points), -1, dtype=int)
-    for i, cell in enumerate(scenario.partition):
-        mask = (cell_idx < 0) & cell.region.contains_many(points)
-        cell_idx[mask] = i
-
+    cell_idx = scenario.cell_index_many(points)
     values = np.zeros(len(points))
     for i in range(scenario.num_cells):
         values[cell_idx == i] = bounds.per_k[k][cell_node(i)]
     pixels = colormap(values)
     pixels[cell_idx < 0] = _OUTSIDE
-
-    ws = scenario.workspace
-    pos = ws.project(points)
-    for obs in ws.obstacles:
-        inside = np.all(pos @ obs.A.T - obs.b <= 0.0, axis=1)
-        pixels[inside] = _OBSTACLE
+    pixels[scenario.workspace.in_obstacle_many(points)] = _OBSTACLE
 
     grid = cell_idx.reshape(height, width)
     border = np.zeros((height, width), dtype=bool)

@@ -195,6 +195,14 @@ class Workspace:
         x = np.asarray(x, dtype=float)
         return x[..., list(self.position_projection)]
 
+    def in_obstacle_many(self, points):
+        """Mask of the (N, n) states whose position lies in some (closed) obstacle."""
+        pos = self.project(points)
+        inside = np.zeros(len(pos), dtype=bool)
+        for obs in self.obstacles:
+            inside |= obs.contains_many(pos, tol=0.0)
+        return inside
+
 
 @dataclass(frozen=True, eq=False)
 class PartitionCell:
@@ -235,6 +243,23 @@ class Scenario:
     @property
     def num_cells(self):
         return len(self.partition)
+
+    def cell_index_many(self, points):
+        """Index of the first cell containing each of the (N, n) points, -1 if none.
+
+        Membership uses the geometric tolerance, so a point on a shared face
+        belongs to the lower-indexed cell.
+        """
+        points = np.asarray(points, dtype=float)
+        idx = np.full(len(points), -1, dtype=int)
+        rest = np.arange(len(points))
+        for k, cell in enumerate(self.partition):
+            inside = cell.region.contains_many(points[rest])
+            idx[rest[inside]] = k
+            rest = rest[~inside]
+            if not len(rest):
+                break
+        return idx
 
 
 def closed_loop_mean_step(scenario, X, cell, tol=1e-7):

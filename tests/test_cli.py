@@ -5,6 +5,7 @@ import csv
 import pytest
 
 from relusafe import cli
+from relusafe import montecarlo as mc
 from relusafe import scenario as sc
 
 
@@ -94,9 +95,28 @@ def test_compare_report(workdir):
             assert float(r["merge_tpn"]) <= float(r["plain"]) + 1e-12
         if r["row"] == "mc":
             assert float(r["mc_estimate"]) <= float(r["plain"]) + 0.05
+    # One horizon-3 rollout set gives what a separate run per k gives.
+    scenario = sc.load_scenario((workdir / "scen.json").read_text())
+    mc_rows = [r for r in rows if r["row"] == "mc"]
+    assert [int(r["k"]) for r in mc_rows] == [1, 2, 3]
+    for r in mc_rows:
+        probe = [c.id for c in scenario.partition].index(r["cell_id"])
+        est = mc.estimate_true_pk(scenario, probe, int(r["k"]), 1000, 3)
+        assert r["mc_estimate"] == repr(est.hit_fraction)
 
 
 def test_unknown_cell_rejected(workdir):
     with pytest.raises(SystemExit):
         cli.main(["simulate", "--scenario", str(workdir / "scen.json"),
                   "--cell", "zz", "--k", "1"])
+
+
+@pytest.mark.parametrize("flag, value", [("--n", "0"), ("--k", "-1")])
+def test_simulate_bad_input_exits_with_message(workdir, flag, value):
+    argv = {"--n": "10", "--k": "2", "--seed": "0"}
+    argv[flag] = value
+    with pytest.raises(SystemExit) as info:
+        cli.main(["simulate", "--scenario", str(workdir / "scen.json"),
+                  "--cell", "c0"] + [x for kv in argv.items() for x in kv])
+    message = str(info.value.code)
+    assert message.startswith("monte-carlo error: ") and "\n" not in message

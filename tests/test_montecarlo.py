@@ -30,7 +30,7 @@ def test_near_zero_noise_matches_mean_iterates(demo_scenario):
     traj = mc.simulate(quiet, x0, 5, seed=0)
     x = x0
     for t in range(5):
-        idx = mc._cell_index_many(quiet, x[None, :])[0]
+        idx = quiet.cell_index_many(x[None, :])[0]
         x = sc.closed_loop_mean_step(quiet, x, quiet.partition[idx])
         assert np.allclose(traj.states[t + 1], x, atol=1e-9)
 
@@ -117,7 +117,7 @@ def test_estimate_stddev_formula(demo_scenario):
     assert est.stddev == pytest.approx(np.sqrt(f * (1 - f) / 4000))
 
 
-def test_hit_and_run_roughly_uniform():
+def test_sampler_roughly_uniform():
     box = Polytope.box([0.0, 0.0], [2.0, 4.0])
     pts = mc.sample_in_polytope(box, 4000, mc.stream(3, 0))
     assert np.all(box.contains_many(pts))
@@ -125,6 +125,77 @@ def test_hit_and_run_roughly_uniform():
     # Spread should approach the uniform stddev (width / sqrt(12)).
     assert np.allclose(pts.std(axis=0), [2 / np.sqrt(12), 4 / np.sqrt(12)],
                        atol=0.15)
+
+
+@pytest.mark.parametrize("width", [1.0, 20.0])
+def test_sampler_draws_independent(width):
+    """Consecutive starts are uncorrelated, however elongated the cell
+    (4000 points: one standard error of the lag-1 correlation is 0.016)."""
+    pts = mc.sample_in_polytope(Polytope.box([0.0, 0.0], [width, 1.0]), 4000,
+                                mc.stream(11, 0))
+    for axis in range(2):
+        lag1 = np.corrcoef(pts[:-1, axis], pts[1:, axis])[0, 1]
+        assert abs(lag1) < 0.05
+
+
+def test_sampler_uniform_on_elongated_box():
+    pts = mc.sample_in_polytope(Polytope.box([0.0, 0.0], [100.0, 1.0]), 4000,
+                                mc.stream(12, 0))
+    assert np.allclose(pts.mean(axis=0), [50.0, 0.5], rtol=0.03, atol=0.0)
+    assert np.allclose(pts.std(axis=0), np.array([100.0, 1.0]) / np.sqrt(12),
+                       rtol=0.03, atol=0.0)
+
+
+def test_sampler_triangle_centroid():
+    tri = Polytope(np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]),
+                   np.array([0.0, 0.0, 1.0]))
+    pts = mc.sample_in_polytope(tri, 4000, mc.stream(13, 0))
+    assert np.all(tri.contains_many(pts, tol=0.0))
+    # Per-axis stddev of the mean is sqrt(1/18 / 4000) = 0.0037.
+    assert np.allclose(pts.mean(axis=0), [1 / 3, 1 / 3], atol=0.015)
+
+
+@pytest.mark.parametrize("poly", [
+    Polytope(np.array([[0.0, 1.0], [0.0, -1.0]]), np.array([1.0, 0.0])),  # strip
+    Polytope(np.array([[0.0, 1.0]]), np.array([1.0])),                    # half-plane
+    Polytope.box([0.0, 0.0], [1.0, 1.0]).with_extra([1.0, 0.0], -1.0),    # empty
+    Polytope.box([0.0, 0.0], [1.0, 1.0]).with_extra([1.0, 0.0], 0.0),     # flat
+], ids=["strip", "half-plane", "empty", "flat"])
+def test_sampler_rejects_unsamplable(poly):
+    with pytest.raises(mc.MonteCarloError):
+        mc.sample_in_polytope(poly, 10, mc.stream(0, 0))
+
+
+def test_noise_contract_against_stream():
+    """Trajectory i of a batch adds stream(seed, base_index + i) noise,
+    drawn as one (k, n) block and scaled by sigma."""
+    layers = ((np.zeros((1, 2)), np.zeros(1)), (np.zeros((2, 1)), np.zeros(2)))
+    big = Polytope.box([-1e3, -1e3], [1e3, 1e3])
+    free = sc.Scenario(
+        dynamics=sc.SystemDynamics(A=np.eye(2), B=np.zeros((2, 2)),
+                                   sigma=np.array([0.3, 0.7])),
+        controller=sc.ReluNetwork(layers=layers, input_dim=2),
+        workspace=sc.Workspace(domain=big, obstacles=(), position_projection=(0, 1)),
+        partition=(sc.PartitionCell(id="all", region=big, C=np.eye(2), c=np.zeros(2)),))
+    x0s = np.array([[0.0, 0.0], [1.5, -2.0], [10.0, 3.0]])
+    states, first_hit = mc.simulate_batch(free, x0s, 5, seed=31, base_index=7)
+    assert np.all(first_hit == 6)
+    for i in range(3):
+        noise = mc.stream(31, 7 + i).normal(size=(5, 2)) * free.dynamics.sigma
+        assert np.array_equal(states[i, 1:], states[i, :-1] + noise)
+
+
+def test_curve_entries_match_single_horizon_estimates(demo_scenario):
+    curve = mc.estimate_true_pk_curve(demo_scenario, 21, k=9, n=1000, seed=5)
+    assert [e.horizon for e in curve] == list(range(10))
+    for k, est in enumerate(curve):
+        assert est == mc.estimate_true_pk(demo_scenario, 21, k=k, n=1000, seed=5)
+
+
+@pytest.mark.parametrize("cell, k", [(0, -1), (25, 3), (-1, 3)])
+def test_estimate_rejects_bad_input(demo_scenario, cell, k):
+    with pytest.raises(mc.MonteCarloError):
+        mc.estimate_true_pk(demo_scenario, cell, k=k, n=10, seed=0)
 
 
 def test_initial_state_outside_domain_rejected(demo_scenario):

@@ -1,5 +1,7 @@
 """Heatmap raster: fixed color scale, obstacle/boundary marks, determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,8 @@ def test_render_byte_identical(demo_scenario, demo_bounds, tmp_path):
     render.render_heatmap(bounds, 6, demo_scenario, a)
     render.render_heatmap(bounds, 6, demo_scenario, b)
     assert a.read_bytes() == b.read_bytes()
+    assert hashlib.sha256(a.read_bytes()).hexdigest() == (
+        "0ffa89716f7983e6eb5195d5b0855983a491cf3dd8defa43f11f23f0e34cc17c")
 
 
 def test_render_rejects_bad_horizon(demo_scenario):
