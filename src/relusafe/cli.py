@@ -132,52 +132,38 @@ def cmd_compare(args):
     source, edge = refine.select_target(graph, configs["merge_tpn"], k=T)
     result = refine.refine_cell(scenario, graph, configs["merge_tpn"], source,
                                 edge.target, steps=args.steps)
-    refined_scenario, refined_graph = result.scenario, result.graph
-    configs["refined_plain"] = verifier.verify(refined_graph, refined_scenario,
+    configs["refined_plain"] = verifier.verify(result.graph, result.scenario,
                                                T, args.merge_p, "naive")
-    configs["refined_merge_tpn"] = verifier.verify(refined_graph, refined_scenario,
+    configs["refined_merge_tpn"] = verifier.verify(result.graph, result.scenario,
                                                    T, args.merge_p, "merge+tpn")
+    # A cell's bound is the max over the cells covering it in that configuration.
+    identity = tuple((i,) for i in range(scenario.num_cells))
+    cell_maps = {"plain": identity, "merge_tpn": identity,
+                 "refined_plain": result.cell_map, "refined_merge_tpn": result.cell_map}
 
-    split_index = source.cells[0] if result.plan.committed else None
-
-    def refined_value(bounds, old_index, k):
-        if split_index is None:
-            return bounds.per_k[k][cell_node(old_index)]
-        if old_index == split_index:
-            return max(bounds.per_k[k][cell_node(split_index)],
-                       bounds.per_k[k][cell_node(split_index + 1)])
-        new_index = old_index if old_index < split_index else old_index + 1
-        return bounds.per_k[k][cell_node(new_index)]
+    def value(mode, i, k):
+        return max(configs[mode].per_k[k][cell_node(j)] for j in cell_maps[mode][i])
 
     if args.cell is not None:
         probe = _resolve_cell(scenario, args.cell)
-    elif split_index is not None:
+    elif result.plan.committed:
         # Lacking a flag, probe a cell adjacent to the refined one.
+        split_index = source.cells[0]
         probe = split_index + 1 if split_index + 1 < scenario.num_cells \
             else split_index - 1
     else:
         probe = 0
 
-    modes = ["plain", "merge_tpn", "refined_plain", "refined_merge_tpn"]
+    modes = list(cell_maps)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["row", "cell_id", "k"] + modes + ["mc_estimate"])
     for i, cell in enumerate(scenario.partition):
-        values = []
-        for mode in modes:
-            if mode.startswith("refined"):
-                values.append(refined_value(configs[mode], i, T))
-            else:
-                values.append(configs[mode].per_k[T][cell_node(i)])
+        values = [value(mode, i, T) for mode in modes]
         writer.writerow(["bound", cell.id, T] + [repr(v) for v in values] + [""])
     for agg_name, agg in (("mean", np.mean), ("max", np.max)):
-        cols = []
-        for mode in modes:
-            if mode.startswith("refined"):
-                vals = [refined_value(configs[mode], i, T) for i in range(scenario.num_cells)]
-            else:
-                vals = [configs[mode].per_k[T][cell_node(i)] for i in range(scenario.num_cells)]
-            cols.append(float(agg(vals)))
+        cols = [float(agg([value(mode, i, T) for i in range(scenario.num_cells)]))
+                for mode in modes]
         writer.writerow([agg_name, "", T] + [repr(v) for v in cols] + [""])
 
     violations = 0
@@ -186,10 +172,7 @@ def cmd_compare(args):
         est = curve[k]
         row = ["mc", scenario.partition[probe].id, k]
         for mode in modes:
-            if mode.startswith("refined"):
-                v = refined_value(configs[mode], probe, k)
-            else:
-                v = configs[mode].per_k[k][cell_node(probe)]
+            v = value(mode, probe, k)
             row.append(repr(v))
             if est.hit_fraction > v + 4.0 * est.stddev:
                 violations += 1

@@ -135,11 +135,14 @@ class Polytope:
         points = np.asarray(points, dtype=float)
         return np.all(points @ self.A.T - self.b <= tol, axis=1)
 
+    def _halfspace_lp(self):
+        """Feasibility LP of ``A x <= b``, one row ``h<i>`` per halfspace."""
+        return linprog.LinearProgram.from_rows(
+            self.dim, [(self.A[i], "<=", float(self.b[i]), f"h{i}")
+                       for i in range(self.num_halfspaces)])
+
     def is_empty(self):
-        lp = linprog.LinearProgram(self.dim)
-        for i in range(self.num_halfspaces):
-            lp.add(self.A[i], "<=", self.b[i], f"h{i}")
-        return isinstance(linprog.solve(lp), linprog.Infeasible)
+        return isinstance(linprog.solve(self._halfspace_lp()), linprog.Infeasible)
 
     def bounding_box(self):
         """Tight axis-aligned (lo, hi) via 2n support LPs; memoized."""
@@ -157,9 +160,7 @@ class Polytope:
 
     def extreme(self, direction, sense):
         """Min or max of ``direction . x`` over the polytope (inf if unbounded)."""
-        lp = linprog.LinearProgram(self.dim)
-        for i in range(self.num_halfspaces):
-            lp.add(self.A[i], "<=", self.b[i], f"h{i}")
+        lp = self._halfspace_lp()
         lp.set_objective(sense, np.asarray(direction, dtype=float))
         res = linprog.solve(lp)
         if isinstance(res, linprog.Infeasible):
@@ -244,10 +245,18 @@ def is_empty_intersection(p1, p2):
 
 
 def chebyshev_center(poly):
-    """Center and radius of the largest inscribed ball, by LP.
+    """Center and radius of the largest inscribed ball, by LP; memoized.
 
     Variables (c, r): maximize r subject to a_i . c + ||a_i|| r <= b_i.
+    The center returned is a copy.
     """
+    if poly._cheb is None:
+        poly._cheb = _solve_chebyshev(poly)
+    center, radius = poly._cheb
+    return center.copy(), radius
+
+
+def _solve_chebyshev(poly):
     n = poly.dim
     norms = np.linalg.norm(poly.A, axis=1)
     lp = linprog.LinearProgram(n + 1)

@@ -204,6 +204,23 @@ def prune_test(scenario, cell_i, cell_j, dq):
     return _prune_against(scenario, reach_box(scenario, cell_i), cell_j.region, dq)
 
 
+def estimate_edge(scenario, cell, region, dq, box=None):
+    """Bound the one-step probability from ``cell`` into ``region``.
+
+    The one prune-or-bisect decision: a pair the reach box prunes returns
+    ``(dq, 0.0, dq, "pruned")``, any other ``(max(q_hi, dq), q_lo, q_hi,
+    "smc")`` from the threshold bisection.  The tuple is the tail of an
+    :class:`Edge`.  ``box`` is the cell's :func:`reach_box`, computed when
+    not given.
+    """
+    if box is None:
+        box = reach_box(scenario, cell)
+    if _prune_against(scenario, box, region, dq):
+        return dq, 0.0, dq, "pruned"
+    q_lo, q_hi = _bisect_region(scenario, cell, region, dq)
+    return max(q_hi, dq), q_lo, q_hi, "smc"
+
+
 def unsafe_pieces(workspace):
     """Convex decomposition of the unsafe set, in state space.
 
@@ -217,64 +234,48 @@ def unsafe_pieces(workspace):
     return pieces
 
 
-def _unsafe_edge(scenario, cell, dq, box=None):
+def sink_edge(scenario, cell, dq, box=None):
+    """Edge to the unsafe sink: entering any obstacle or leaving the domain.
+
+    Each unsafe piece gets its own :func:`estimate_edge`, recorded as
+    ``(piece, bound, q_lo, q_hi, method)``; the edge bound is their sum,
+    capped at one.
+    """
     if box is None:
         box = reach_box(scenario, cell)
-    floor = bisection_floor(dq)
-    records = []
-    total = 0.0
-    for piece in unsafe_pieces(scenario.workspace):
-        if _prune_against(scenario, box, piece, dq):
-            rec = (piece, dq, 0.0, dq, "pruned")
-        else:
-            q_lo, q_hi = _bisect_region(scenario, cell, piece, dq)
-            rec = (piece, max(q_hi, dq), q_lo, q_hi, "smc")
-        records.append(rec)
-        total += rec[1]
-    return Edge(target=UNSAFE, bound=min(1.0, total), method="unsafe",
-                pieces=tuple(records))
+    records = tuple((piece,) + estimate_edge(scenario, cell, piece, dq, box)
+                    for piece in unsafe_pieces(scenario.workspace))
+    total = sum(rec[1] for rec in records)
+    return Edge(target=UNSAFE, bound=min(1.0, total), method="unsafe", pieces=records)
 
 
-def unsafe_bound(scenario, cell_i, dq):
-    """Bound on entering any obstacle or leaving the domain in one step."""
-    return _unsafe_edge(scenario, cell_i, dq).bound
-
-
-def _source_row(scenario, i, dq):
-    """All outgoing edges of one source cell (worker task)."""
-    cell = scenario.partition[i]
+def source_row(scenario, cell, dq):
+    """All outgoing edges of one source cell: every partition cell in index
+    order, then the sink."""
     box = reach_box(scenario, cell)
-    edges = []
-    for j, target_cell in enumerate(scenario.partition):
-        if _prune_against(scenario, box, target_cell.region, dq):
-            edges.append(Edge(cell_node(j), dq, q_lo=0.0, q_hi=dq, method="pruned"))
-        else:
-            q_lo, q_hi = _bisect_region(scenario, cell, target_cell.region, dq)
-            edges.append(Edge(cell_node(j), max(q_hi, dq), q_lo=q_lo, q_hi=q_hi,
-                              method="smc"))
-    edges.append(_unsafe_edge(scenario, cell, dq, box=box))
-    return i, edges
+    row = [Edge(cell_node(j), *estimate_edge(scenario, cell, target.region, dq, box))
+           for j, target in enumerate(scenario.partition)]
+    row.append(sink_edge(scenario, cell, dq, box))
+    return row
 
 
 def build_graph(scenario, dq, jobs=1):
     """Estimate bounds for every ordered cell pair plus the sink edges.
 
     Pair estimation is independent per source cell; with ``jobs > 1`` the
-    source rows fan out to worker processes.  Assembly is deterministic
-    regardless of completion order.  Any worker failure aborts the build;
-    partial graphs are never returned.
+    source rows fan out to worker processes and come back in cell order.
+    Any worker failure aborts the build; partial graphs are never returned.
     """
-    indices = list(range(scenario.num_cells))
+    n = scenario.num_cells
+    args = ([scenario] * n, scenario.partition, [dq] * n)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_source_row, [scenario] * len(indices),
-                                    indices, [dq] * len(indices)))
+            rows = list(pool.map(source_row, *args))
     else:
-        results = [_source_row(scenario, i, dq) for i in indices]
-    results.sort(key=lambda item: item[0])
+        rows = list(map(source_row, *args))
 
-    nodes = [cell_node(i) for i in indices] + [UNSAFE]
-    edges = {cell_node(i): row for i, row in results}
+    nodes = [cell_node(i) for i in range(n)] + [UNSAFE]
+    edges = {cell_node(i): row for i, row in enumerate(rows)}
     edges[UNSAFE] = [Edge(UNSAFE, 1.0, q_lo=1.0, q_hi=1.0, method="fixed")]
     graph = TransitionGraph(
         nodes=nodes, edges=edges, dq=dq,

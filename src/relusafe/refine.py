@@ -11,14 +11,14 @@ the refined graph sound regardless of how well the hyperplane was chosen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .geometry import (DegenerateSplitError, Hyperplane, augmented_set,
                        chebyshev_center, split)
-from .graph import (UNSAFE, Edge, TransitionGraph, _bisect_region, _prune_against,
-                    _unsafe_edge, cell_node, reach_box)
+from .graph import (UNSAFE, Edge, TransitionGraph, cell_node, estimate_edge, reach_box,
+                    sink_edge, source_row)
 from .scenario import PartitionCell, Scenario, scenario_sha256
 from .smc import build_encoding, center_witness, solve
 
@@ -50,9 +50,14 @@ class RefinementPlan:
 
 @dataclass
 class RefinementResult:
+    """Refined scenario and graph.  ``cell_map[i]`` is the tuple of new cell
+    indices covering old cell ``i``: both halves for the split cell, one
+    index for every other cell, the identity when nothing was split."""
+
     scenario: Scenario
     graph: TransitionGraph
     plan: RefinementPlan
+    cell_map: tuple
 
 
 def find_witness(scenario, graph, source, target):
@@ -75,7 +80,7 @@ def find_witness(scenario, graph, source, target):
     if target == UNSAFE:
         pieces = edge.pieces
         if not pieces:
-            pieces = _unsafe_edge(scenario, cell, graph.dq).pieces
+            pieces = sink_edge(scenario, cell, graph.dq).pieces
         region, bound, q_lo, _, _ = max(pieces, key=lambda rec: rec[1])
         q = q_lo if q_lo > 0.0 else bound - graph.dq
     else:
@@ -111,21 +116,6 @@ def _fallback_hyperplane(region):
     normal = np.zeros(region.dim)
     normal[axis] = 1.0
     return Hyperplane(normal=normal, offset=float(0.5 * (lo[axis] + hi[axis])))
-
-
-def _edge_for_pair(scenario, cell, region, dq, box):
-    if _prune_against(scenario, box, region, dq):
-        return dq, 0.0, dq, "pruned"
-    q_lo, q_hi = _bisect_region(scenario, cell, region, dq)
-    return max(q_hi, dq), q_lo, q_hi, "smc"
-
-
-def _sub_cell_bound(scenario, sub_cell, graph_dq, target_node, target_region):
-    box = reach_box(scenario, sub_cell)
-    if target_node == UNSAFE:
-        return _unsafe_edge(scenario, sub_cell, graph_dq, box=box).bound
-    bound, _, _, _ = _edge_for_pair(scenario, sub_cell, target_region, graph_dq, box)
-    return bound
 
 
 def refine_cell(scenario, graph, bounds, source, target, steps=4):
@@ -177,13 +167,17 @@ def refine_cell(scenario, graph, bounds, source, target, steps=4):
             continue
         away = lower if downward else upper
         probe = PartitionCell(id=f"{cell.id}b", region=away, C=cell.C, c=cell.c)
-        value = _sub_cell_bound(scenario, probe, graph.dq, target, target_region)
+        if target == UNSAFE:
+            value = sink_edge(scenario, probe, graph.dq).bound
+        else:
+            value = estimate_edge(scenario, probe, target_region, graph.dq)[0]
         plan.translations.append((float(offset), float(value)))
         if best is None or value < best[0]:
             best = (value, offset)
     if best is None:
         plan.note = "all translations degenerate; partition unchanged"
-        return RefinementResult(scenario=scenario, graph=graph, plan=plan)
+        return RefinementResult(scenario=scenario, graph=graph, plan=plan,
+                                cell_map=tuple((i,) for i in range(scenario.num_cells)))
 
     plan.chosen_offset = float(best[1])
     lower, upper = split(region, Hyperplane(normal=hp.normal, offset=best[1]))
@@ -195,56 +189,43 @@ def refine_cell(scenario, graph, bounds, source, target, steps=4):
                  + scenario.partition[idx + 1:])
     new_scenario = Scenario(dynamics=scenario.dynamics, controller=scenario.controller,
                             workspace=scenario.workspace, partition=new_cells)
-    new_graph = _rebuild_graph(scenario, new_scenario, graph, idx)
+    cell_map = tuple((i,) if i < idx else (i, i + 1) if i == idx else (i + 1,)
+                     for i in range(scenario.num_cells))
+    new_graph = _rebuild_graph(new_scenario, graph, cell_map)
     plan.committed = True
-    return RefinementResult(scenario=new_scenario, graph=new_graph, plan=plan)
+    return RefinementResult(scenario=new_scenario, graph=new_graph, plan=plan,
+                            cell_map=cell_map)
 
 
-def _remap(old_index, split_index):
-    return old_index if old_index < split_index else old_index + 1
+def _rebuild_graph(new_scenario, graph, cell_map):
+    """The graph ``build_graph`` would give on the refined scenario.
 
-
-def _rebuild_graph(old_scenario, new_scenario, graph, split_index):
-    """Copy untouched bounds, re-estimate everything touching the split cell."""
+    Rows of the two halves are estimated afresh, and so is every other
+    row's edge into a half; all other edges are copied from the old graph
+    through ``cell_map``.
+    """
     dq = graph.dq
-    n_new = new_scenario.num_cells
-    new_nodes = [cell_node(i) for i in range(n_new)] + [UNSAFE]
-    new_edges = {}
-    fresh = {split_index, split_index + 1}
-
-    boxes = {i: reach_box(new_scenario, new_scenario.partition[i]) for i in range(n_new)}
-
-    for i_new in range(n_new):
+    halves = next(new for new in cell_map if len(new) == 2)
+    old_index = {new: old for old, news in enumerate(cell_map) for new in news}
+    edges = {}
+    for i, cell in enumerate(new_scenario.partition):
+        if i in halves:
+            edges[cell_node(i)] = source_row(new_scenario, cell, dq)
+            continue
+        old_row = {e.target: e for e in graph.edges[cell_node(old_index[i])]}
+        box = reach_box(new_scenario, cell)
         row = []
-        if i_new in fresh:
-            cell = new_scenario.partition[i_new]
-            for j_new in range(n_new):
-                b, q_lo, q_hi, method = _edge_for_pair(
-                    new_scenario, cell, new_scenario.partition[j_new].region, dq,
-                    boxes[i_new])
-                row.append(Edge(cell_node(j_new), b, q_lo=q_lo, q_hi=q_hi, method=method))
-            row.append(_unsafe_edge(new_scenario, cell, dq, box=boxes[i_new]))
-        else:
-            i_old = i_new if i_new < split_index else i_new - 1
-            cell = new_scenario.partition[i_new]
-            for edge in graph.edges[cell_node(i_old)]:
-                if edge.target == UNSAFE or edge.target.cells[0] != split_index:
-                    tgt = edge.target
-                    if tgt.kind == "cell":
-                        tgt = cell_node(_remap(tgt.cells[0], split_index))
-                    row.append(Edge(tgt, edge.bound, q_lo=edge.q_lo, q_hi=edge.q_hi,
-                                    method=edge.method, pieces=edge.pieces))
-                else:
-                    for j_new in fresh:
-                        b, q_lo, q_hi, method = _edge_for_pair(
-                            new_scenario, cell, new_scenario.partition[j_new].region,
-                            dq, boxes[i_new])
-                        row.append(Edge(cell_node(j_new), b, q_lo=q_lo, q_hi=q_hi,
-                                        method=method))
-        new_edges[cell_node(i_new)] = row
-    new_edges[UNSAFE] = [Edge(UNSAFE, 1.0, q_lo=1.0, q_hi=1.0, method="fixed")]
+        for j, target in enumerate(new_scenario.partition):
+            if j in halves:
+                row.append(Edge(cell_node(j),
+                                *estimate_edge(new_scenario, cell, target.region, dq, box)))
+            else:
+                row.append(replace(old_row[cell_node(old_index[j])], target=cell_node(j)))
+        row.append(old_row[UNSAFE])
+        edges[cell_node(i)] = row
+    edges[UNSAFE] = list(graph.edges[UNSAFE])
 
-    out = TransitionGraph(nodes=new_nodes, edges=new_edges, dq=dq,
+    out = TransitionGraph(nodes=list(edges), edges=edges, dq=dq,
                           q_threshold_floor=graph.q_threshold_floor,
                           scenario_sha256=scenario_sha256(new_scenario))
     return out.bind_scenario(new_scenario)

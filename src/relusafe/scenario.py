@@ -27,15 +27,6 @@ class ScenarioError(Exception):
     """Malformed or internally inconsistent scenario document."""
 
 
-def _matrix(value, rows, cols, what):
-    m = np.asarray(value, dtype=float)
-    if m.shape != (rows, cols):
-        raise ScenarioError(f"{what}: expected shape {(rows, cols)}, got {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ScenarioError(f"{what}: non-finite entries")
-    return m
-
-
 @dataclass(frozen=True, eq=False)
 class SystemDynamics:
     """``x' = A x + B u + w`` with ``w ~ N(0, diag(sigma^2))`` per axis."""

@@ -182,6 +182,20 @@ def test_chebyshev_unit_square():
     assert radius == pytest.approx(0.5, abs=1e-9)
 
 
+def test_chebyshev_center_memoized(monkeypatch):
+    poly = Polytope.box([0, 0], [2, 1])
+    center, radius = chebyshev_center(poly)
+    center[:] = 99.0  # the caller owns the returned center
+
+    def no_solve(lp, max_iters=None):
+        raise AssertionError("chebyshev_center solved an LP again")
+
+    monkeypatch.setattr(geometry.linprog, "solve", no_solve)
+    again, radius_again = chebyshev_center(poly)
+    assert radius_again == radius == pytest.approx(0.5, abs=1e-9)
+    assert again[1] == pytest.approx(0.5, abs=1e-9) and 0.5 <= again[0] <= 1.5
+
+
 def test_chebyshev_empty_polytope():
     empty = Polytope([[1.0], [-1.0]], [0.0, -1.0])  # x <= 0 and x >= 1
     with pytest.raises(geometry.EmptyPolytopeError):

@@ -114,7 +114,7 @@ def test_unsafe_bound_deep_inside_small_noise():
     dq = 0.05
     pieces = gr.unsafe_pieces(scenario.workspace)
     interior = scenario.partition[4]  # [2,4]^2, two cell-widths from any face
-    bound = gr.unsafe_bound(scenario, interior, dq)
+    bound = gr.sink_edge(scenario, interior, dq).bound
     assert bound <= len(pieces) * dq + 1e-12
 
 
@@ -129,7 +129,7 @@ def test_unsafe_bound_large_noise_near_edge(small_scenario):
         workspace=small_scenario.workspace,
         partition=small_scenario.partition)
     corner = loud.partition[0]
-    bound = gr.unsafe_bound(loud, corner, dq=0.05)
+    bound = gr.sink_edge(loud, corner, dq=0.05).bound
     assert bound >= 0.9
     unsafe_region = Polytope([[-1.0, 0.0]], [0.0])  # x0 <= 0 piece
     est = mc.estimate_transition(loud, np.array([0.05, 0.05]),

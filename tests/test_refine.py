@@ -93,7 +93,7 @@ def test_refine_single_step_keeps_witness_side(refinable):
     assert result.plan.committed
     assert len(result.plan.translations) == 1
     idx = source.cells[0]
-    target_new = rf._remap(edgerec.target.cells[0], idx)
+    target_new = max(result.cell_map[edgerec.target.cells[0]])
     witness_side = result.graph.edge(gr.cell_node(idx), gr.cell_node(target_new))
     # The witness stays in sub-cell "a": its bound cannot drop below the
     # parent's by more than requantization slack.
@@ -111,7 +111,7 @@ def test_refine_cell_full_round(refinable):
     assert new_scenario.num_cells == scenario.num_cells + 1
 
     idx = source.cells[0]
-    target_new = gr.cell_node(rf._remap(edgerec.target.cells[0], idx))
+    target_new = gr.cell_node(max(result.cell_map[edgerec.target.cells[0]]))
     for sub in (idx, idx + 1):
         e = new_graph.edge(gr.cell_node(sub), target_new)
         # Sub-problems are restrictions: bounds never exceed the parent's.
@@ -129,17 +129,59 @@ def test_refined_bounds_never_exceed_parent(refinable):
     scenario, graph, bounds = refinable
     source, edgerec = pick_strong_edge(graph)
     result = rf.refine_cell(scenario, graph, bounds, source, edgerec.target, steps=3)
-    idx = source.cells[0]
-    for sub in (idx, idx + 1):
-        for e in result.graph.edges[gr.cell_node(sub)]:
-            if e.target.kind != "cell":
-                continue
-            t_new = e.target.cells[0]
-            if t_new in (idx, idx + 1):
-                continue  # self / sibling: no parent analogue
-            old_target = t_new if t_new < idx else t_new - 1
-            parent = graph.edge(source, gr.cell_node(old_target))
+    halves = result.cell_map[source.cells[0]]
+    for old_target, (t_new, *_) in enumerate(result.cell_map):
+        if t_new in halves:
+            continue  # self / sibling: no parent analogue
+        parent = graph.edge(source, gr.cell_node(old_target))
+        for sub in halves:
+            e = result.graph.edge(gr.cell_node(sub), gr.cell_node(t_new))
             assert e.bound <= parent.bound + 1e-12
+
+
+def test_cell_map_of_committed_split(refinable):
+    scenario, graph, bounds = refinable
+    source, edgerec = pick_strong_edge(graph)
+    result = rf.refine_cell(scenario, graph, bounds, source, edgerec.target, steps=1)
+    assert result.plan.committed
+    idx = source.cells[0]
+    expected = tuple((i,) if i < idx else (i, i + 1) if i == idx else (i + 1,)
+                     for i in range(scenario.num_cells))
+    assert result.cell_map == expected
+    # The new indices tile the refined partition, each old region kept or split.
+    assert sorted(j for new in result.cell_map for j in new) == \
+        list(range(result.scenario.num_cells))
+    for old, new in enumerate(result.cell_map):
+        if len(new) == 1:
+            assert result.scenario.partition[new[0]] is scenario.partition[old]
+
+
+def test_cell_map_is_identity_without_split(refinable, monkeypatch):
+    scenario, graph, bounds = refinable
+    source, edgerec = pick_strong_edge(graph)
+
+    def degenerate(region, plane):
+        raise rf.DegenerateSplitError("forced")
+
+    monkeypatch.setattr(rf, "split", degenerate)
+    result = rf.refine_cell(scenario, graph, bounds, source, edgerec.target, steps=3)
+    assert not result.plan.committed
+    assert result.scenario is scenario and result.graph is graph
+    assert result.cell_map == tuple((i,) for i in range(scenario.num_cells))
+
+
+def test_refined_graph_equals_fresh_build(small_scenario):
+    """Refinement re-estimates exactly what a fresh build of the refined
+    scenario would estimate, in the same row order: the saved bytes match
+    for the split of every cell (cell 7's halves are 7 and 8)."""
+    dq = 0.2  # a coarse grid keeps the nine fresh builds cheap
+    graph = gr.build_graph(small_scenario, dq)
+    for i in range(small_scenario.num_cells):
+        node = gr.cell_node(i)
+        result = rf.refine_cell(small_scenario, graph, None, node, node, steps=1)
+        assert result.plan.committed
+        fresh = gr.build_graph(result.scenario, dq)
+        assert gr.save_graph(result.graph) == gr.save_graph(fresh), f"cell {i}"
 
 
 def test_select_target_prefers_large_cells():
