@@ -2,11 +2,13 @@
 Worst-case transition bounds
 ============================
 
-For a pair of partition cells, a bisection over the chance level q finds
-the smallest threshold whose reach query is unsatisfiable: no state of the
-source cell can move its successor mean into the target's augmented set.
-That threshold upper-bounds the one-step transition probability of every
-source state.  Sampling a grid of source states shows the bound sitting
+For a pair of partition cells, a walk down the dyadic grid of chance
+levels q finds the smallest threshold whose reach query is unsatisfiable:
+no state of the source cell can move its successor mean into the target's
+augmented set.  Each verdict is read off the largest noise-normalised
+target slack that the closed loop's affine pieces on the source cell
+reach.  That threshold upper-bounds the one-step transition probability of
+every source state.  Sampling a grid of source states shows the bound sitting
 above the true probabilities.
 """
 

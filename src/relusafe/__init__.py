@@ -11,9 +11,10 @@ from .geometry import (Halfspace, Hyperplane, Polytope, augmented_set,
                        gaussian_quantile, is_empty_intersection, split)
 # The package version is the tool version every saved graph records.
 from .graph import TOOL_VERSION as __version__
-from .graph import (UNSAFE, Edge, NodeId, TransitionGraph, build_graph,
-                    cell_node, estimate_bound, estimate_edge, load_graph,
-                    merged_node, prune_test, save_graph, sink_edge, source_row)
+from .graph import (UNSAFE, CellReach, Edge, NodeId, TransitionGraph,
+                    build_graph, cell_node, estimate_bound, estimate_edge,
+                    load_graph, merged_node, prune_test, save_graph, sink_edge,
+                    source_row)
 from .linprog import LinearProgram, check_certificate, minimal_infeasible_subset
 from .montecarlo import (McEstimate, MonteCarloError, Trajectory,
                          estimate_transition, estimate_true_pk,

@@ -1,13 +1,22 @@
 """Transition graph with per-edge upper bounds on one-step probabilities.
 
-For an ordered cell pair the bound comes from a bisection over the
-chance-constraint threshold q: unsatisfiability of the reach query against
-the target's augmented set at threshold q proves that no state of the source
-cell transitions with probability >= q, so the final unsatisfiable q is a
-valid upper bound.  A cheap interval-arithmetic reach-box filter skips pairs
-whose bound would bottom out anyway; filtered pairs keep an edge at the
-precision floor rather than being dropped, since unsatisfiability proves
-smallness, never impossibility.
+For an ordered cell pair the bound is the smallest threshold q on a dyadic
+grid at which the reach query against the target's augmented set is
+unsatisfiable: then no state of the source cell transitions with
+probability >= q.  The grid is the one a bisection of [0, 1] down to width
+dq visits, and the query's verdict at each grid point comes from the source
+cell's affine pieces (:func:`relusafe.smc.affine_pieces`): satisfiable
+exactly when the largest noise-normalised target slack ``z*`` the pieces
+reach is at least ``gaussian_quantile(q)``.  A grid point within numerical
+tolerance of ``z*`` is decided by the exact reach-query oracle
+:func:`relusafe.smc.solve` instead, so every bracket is the one a bisection
+driven by that oracle returns.  The pieces are enumerated once per source
+cell and serve every target of its row.
+
+A cheap interval-arithmetic reach-box filter skips pairs whose bound would
+bottom out anyway; filtered pairs keep an edge at the precision floor
+rather than being dropped, since unsatisfiability proves smallness, never
+impossibility.
 
 Every cell also gets an edge to the absorbing unsafe sink, bounding the
 one-step probability of entering an obstacle or leaving the domain; the sink
@@ -22,11 +31,13 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import smc
-from .geometry import Polytope, augmented_set, is_empty_intersection
+from .geometry import Polytope, augmented_set, gaussian_quantile, is_empty_intersection
+from .linprog import LpNumericalError
 from .scenario import scenario_sha256
 
 GRAPH_FORMAT = "relusafe-graph-v1"
@@ -92,8 +103,9 @@ def parse_node(text):
 class Edge:
     """One weighted edge.  ``bound`` upper-bounds the transition probability.
 
-    ``q_lo``/``q_hi`` are the final bisection bracket (satisfiable /
-    unsatisfiable thresholds); ``method`` is "smc" for bisection results,
+    ``q_lo``/``q_hi`` are the final grid bracket (satisfiable /
+    unsatisfiable thresholds, replayable through :func:`relusafe.smc.solve`);
+    ``method`` is "smc" for bracketed pairs,
     "pruned" for reach-box filtered pairs and "fixed" for the sink self-loop.
     ``pieces`` carries the per-piece records of a sink edge.
     """
@@ -140,85 +152,110 @@ class TransitionGraph:
 
 
 def bisection_floor(dq):
-    """Smallest value the threshold bisection can return: 2^-ceil(log2(1/dq))."""
+    """Smallest value the threshold grid can return: 2^-ceil(log2(1/dq))."""
     if not (0.0 < dq < 1.0):
         raise ValueError("dq must lie in (0,1)")
     return 2.0 ** (-math.ceil(math.log2(1.0 / dq)))
 
 
-def _bisect_region(scenario, cell, region, dq):
-    """Threshold bisection of the reach query from ``cell`` into ``region``.
-
-    Returns (q_lo, q_hi): q_hi unsatisfiable (or 1.0 untested), q_lo
-    satisfiable (or 0.0), with q_hi - q_lo <= dq.  Budget-exhausted queries
-    count as satisfiable.
-    """
-    problem = smc.build_encoding(scenario, cell, region)
-    sigma = scenario.dynamics.sigma
-    q_lo, q_hi = 0.0, 1.0
-    hint = None
-    while q_hi - q_lo > dq:
-        q = 0.5 * (q_lo + q_hi)
-        out = smc.solve(problem.with_target(augmented_set(region, q, sigma)),
-                        phase_hint=hint)
-        if out.is_sat:
-            q_lo = q
-            hint = out.pattern
-        else:
-            q_hi = q
-    return q_lo, q_hi
-
-
-def estimate_bound(scenario, cell_i, cell_j, dq):
-    """Upper bound on the worst-case one-step probability from cell_i to cell_j."""
-    _, q_hi = _bisect_region(scenario, cell_i, cell_j.region, dq)
-    return q_hi
-
-
 def reach_box(scenario, cell, inflate=1e-9):
     """Interval overapproximation of the noise-free successor means of a cell."""
     lo, hi = cell.region.bounding_box()
-    d_lo, d_hi = smc.interval_affine(cell.C, cell.c, lo, hi)
-    _, _, (u_lo, u_hi) = smc.network_interval_bounds(scenario.controller, d_lo, d_hi)
+    _, _, (u_lo, u_hi) = smc.cell_network_bounds(scenario.controller, cell)
     dyn = scenario.dynamics
     ax_lo, ax_hi = smc.interval_affine(dyn.A, np.zeros(dyn.n), lo, hi)
     bu_lo, bu_hi = smc.interval_affine(dyn.B, np.zeros(dyn.n), u_lo, u_hi)
     return Polytope.box(ax_lo + bu_lo - inflate, ax_hi + bu_hi + inflate)
 
 
+class CellReach:
+    """What every edge out of one source cell shares: its interval
+    :func:`reach_box` for the prune test and, computed on first use, its
+    closed loop's affine pieces."""
+
+    def __init__(self, scenario, cell):
+        self.scenario = scenario
+        self.cell = cell
+        self.box = reach_box(scenario, cell)
+
+    @cached_property
+    def pieces(self):
+        return smc.affine_pieces(self.scenario, self.cell)
+
+
 def _prune_against(scenario, box, region, dq):
     floor = bisection_floor(dq)
     aug = augmented_set(region, floor, scenario.dynamics.sigma)
-    return is_empty_intersection(box, aug)
+    try:
+        return is_empty_intersection(box, aug)
+    except LpNumericalError:
+        return False  # undecided: bracket the pair instead
 
 
 def prune_test(scenario, cell_i, cell_j, dq):
     """True only when the pair's bound is guaranteed to bottom out.
 
     The interval reach box of cell_i is tested for emptiness against the
-    target's augmented set at the bisection floor; emptiness makes every
-    bisection query unsatisfiable, so the transition probability of every
-    source state is below dq and the bisection would have returned its
-    minimum grid value.
+    target's augmented set at the grid floor; emptiness makes every reach
+    query on the grid unsatisfiable, so the transition probability of every
+    source state is below dq and the grid walk would have returned its
+    minimum value.
     """
     return _prune_against(scenario, reach_box(scenario, cell_i), cell_j.region, dq)
 
 
-def estimate_edge(scenario, cell, region, dq, box=None):
+def _grid_bracket(reach, region, dq):
+    """(q_lo, q_hi) on the dyadic threshold grid, as a bisection returns it.
+
+    q_hi is unsatisfiable (or 1.0 untested), q_lo satisfiable (or 0.0), and
+    q_hi - q_lo <= dq.  Each verdict compares ``z*`` with the threshold's
+    quantile; within :func:`relusafe.smc.slack_tolerance` of ``z*`` it is
+    the oracle's, with "unknown" counted as satisfiable.
+    """
+    scenario, cell = reach.scenario, reach.cell
+    sigma = scenario.dynamics.sigma
+    z_star = smc.max_slack(reach.pieces, region, sigma)
+    tol = smc.slack_tolerance(region, sigma)
+    problem = None
+    q_lo, q_hi = 0.0, 1.0
+    while q_hi - q_lo > dq:
+        q = 0.5 * (q_lo + q_hi)
+        z = gaussian_quantile(q)
+        if abs(z_star - z) > tol:
+            sat = z_star > z
+        else:
+            if problem is None:
+                problem = smc.build_encoding(scenario, cell, region)
+            sat = smc.solve(problem.with_target(augmented_set(region, q, sigma))).is_sat
+        if sat:
+            q_lo = q
+        else:
+            q_hi = q
+    return q_lo, q_hi
+
+
+def estimate_edge(scenario, cell, region, dq, reach=None):
     """Bound the one-step probability from ``cell`` into ``region``.
 
-    The one prune-or-bisect decision: a pair the reach box prunes returns
+    The one prune-or-bracket decision: a pair the reach box prunes returns
     ``(dq, 0.0, dq, "pruned")``, any other ``(max(q_hi, dq), q_lo, q_hi,
-    "smc")`` from the threshold bisection.  The tuple is the tail of an
-    :class:`Edge`.  ``box`` is the cell's :func:`reach_box`, computed when
-    not given.
+    "smc")`` from the threshold grid.  The tuple is the tail of an
+    :class:`Edge`.  ``reach`` is the cell's :class:`CellReach`, built when
+    not given; passing one shares its pieces across a row.
     """
-    if box is None:
-        box = reach_box(scenario, cell)
-    if _prune_against(scenario, box, region, dq):
+    if reach is None:
+        reach = CellReach(scenario, cell)
+    if _prune_against(scenario, reach.box, region, dq):
         return dq, 0.0, dq, "pruned"
-    q_lo, q_hi = _bisect_region(scenario, cell, region, dq)
+    q_lo, q_hi = _grid_bracket(reach, region, dq)
     return max(q_hi, dq), q_lo, q_hi, "smc"
+
+
+def estimate_bound(scenario, cell_i, cell_j, dq):
+    """Upper bound on the worst-case one-step probability from cell_i to
+    cell_j: the ``q_hi`` that :func:`estimate_edge` brackets, without its
+    prune test, so a pruned pair reads the grid floor rather than dq."""
+    return _grid_bracket(CellReach(scenario, cell_i), cell_j.region, dq)[1]
 
 
 def unsafe_pieces(workspace):
@@ -234,16 +271,16 @@ def unsafe_pieces(workspace):
     return pieces
 
 
-def sink_edge(scenario, cell, dq, box=None):
+def sink_edge(scenario, cell, dq, reach=None):
     """Edge to the unsafe sink: entering any obstacle or leaving the domain.
 
     Each unsafe piece gets its own :func:`estimate_edge`, recorded as
     ``(piece, bound, q_lo, q_hi, method)``; the edge bound is their sum,
     capped at one.
     """
-    if box is None:
-        box = reach_box(scenario, cell)
-    records = tuple((piece,) + estimate_edge(scenario, cell, piece, dq, box)
+    if reach is None:
+        reach = CellReach(scenario, cell)
+    records = tuple((piece,) + estimate_edge(scenario, cell, piece, dq, reach)
                     for piece in unsafe_pieces(scenario.workspace))
     total = sum(rec[1] for rec in records)
     return Edge(target=UNSAFE, bound=min(1.0, total), method="unsafe", pieces=records)
@@ -251,11 +288,12 @@ def sink_edge(scenario, cell, dq, box=None):
 
 def source_row(scenario, cell, dq):
     """All outgoing edges of one source cell: every partition cell in index
-    order, then the sink."""
-    box = reach_box(scenario, cell)
-    row = [Edge(cell_node(j), *estimate_edge(scenario, cell, target.region, dq, box))
+    order, then the sink.  The cell's affine pieces are enumerated once
+    and shared by the whole row."""
+    reach = CellReach(scenario, cell)
+    row = [Edge(cell_node(j), *estimate_edge(scenario, cell, target.region, dq, reach))
            for j, target in enumerate(scenario.partition)]
-    row.append(sink_edge(scenario, cell, dq, box))
+    row.append(sink_edge(scenario, cell, dq, reach))
     return row
 
 
@@ -317,7 +355,7 @@ def save_graph(graph):
 def load_graph(text, scenario=None):
     """Parse a graph document, verifying version and checksum.
 
-    Loaded edges carry only (source, target, bound); bisection metadata is
+    Loaded edges carry only (source, target, bound); bracket metadata is
     not persisted.  Passing the owning scenario re-binds cell regions and
     validates the scenario hash.
     """

@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import (DegenerateSplitError, Hyperplane, augmented_set,
                        chebyshev_center, split)
-from .graph import (UNSAFE, Edge, TransitionGraph, cell_node, estimate_edge, reach_box,
+from .graph import (UNSAFE, CellReach, Edge, TransitionGraph, cell_node, estimate_edge,
                     sink_edge, source_row)
 from .scenario import PartitionCell, Scenario, scenario_sha256
 from .smc import build_encoding, center_witness, solve
@@ -213,12 +213,12 @@ def _rebuild_graph(new_scenario, graph, cell_map):
             edges[cell_node(i)] = source_row(new_scenario, cell, dq)
             continue
         old_row = {e.target: e for e in graph.edges[cell_node(old_index[i])]}
-        box = reach_box(new_scenario, cell)
+        reach = CellReach(new_scenario, cell)
         row = []
         for j, target in enumerate(new_scenario.partition):
             if j in halves:
                 row.append(Edge(cell_node(j),
-                                *estimate_edge(new_scenario, cell, target.region, dq, box)))
+                                *estimate_edge(new_scenario, cell, target.region, dq, reach)))
             else:
                 row.append(replace(old_row[cell_node(old_index[j])], target=cell_node(j)))
         row.append(old_row[UNSAFE])

@@ -1,26 +1,41 @@
-"""Satisfiability of one-step reach queries through the ReLU closed loop.
+"""One-step reach through the ReLU closed loop: affine pieces and an exact oracle.
 
-A query asks: does some mean state in a source cell have its noise-free
-closed-loop successor inside a chance-constrained target polytope?  The
-encoding keeps the source membership, target membership, mean dynamics and
-the per-layer affine links as linear rows over the variables
-``(X, X', u, t, h)``, and one boolean per hidden neuron selecting its branch:
+A reach query asks: does some mean state in a source cell have its
+noise-free closed-loop successor inside a chance-constrained target
+polytope?  Every hidden neuron takes one of two branches:
 
     active:    h = t  and  t >= 0
     inactive:  h = 0  and  t <= -EPS_STRICT
 
 Strict inequalities are relaxed by ``EPS_STRICT``; the relaxation only
 enlarges the feasible set, so unsatisfiable verdicts remain sound for the
-upper bounds computed downstream.  The measurement vector is affine in the
-state on each cell and is substituted away rather than kept as variables.
+upper bounds computed downstream.  Interval propagation over the cell's
+bounding box pre-forces neurons whose branch could never be taken
+(:func:`presolve_branches`).
 
-The decision procedure is DPLL over the neuron booleans.  Unassigned neurons
-are relaxed to ``h >= 0, h >= t`` (which both branches imply, so pruning
-never removes a satisfiable completion); an infeasible LP prunes the subtree
-and learns a conflict clause from the rows of its Farkas certificate that
-are linked to branch literals.  Interval propagation over the cell's
-bounding box pre-forces neurons whose branch the LP could never accept,
-which the search would otherwise discover one failed LP at a time.
+Affine pieces (what the transition graph uses).  Once every neuron's branch
+is fixed, the closed loop is affine, ``x' = M x + m``, on the polytope of
+states that realise the pattern.  :func:`affine_pieces` finds these pieces
+of a cell once, splitting the open neurons layer by layer with emptiness
+LPs in the ``n`` state variables: with the earlier layers fixed, a neuron's
+pre-activation is affine in the state.  For a target polytope,
+:func:`max_slack` returns ``z*``, the largest minimum noise-normalised
+target slack any piece reaches, from one ``(n+1)``-variable LP per piece.
+The query against the target's augmented set at threshold ``q`` is
+satisfiable exactly when ``z* >= gaussian_quantile(q)``.
+
+The reference oracle (:func:`solve`).  It keeps the source membership,
+target membership, mean dynamics and the per-layer affine links as linear
+rows over the variables ``(X, X', u, t, h)``, with one boolean per hidden
+neuron, and decides the query by DPLL over the neuron booleans.  The
+measurement vector is affine in the state on each cell and is substituted
+away rather than kept as variables.  Unassigned neurons are relaxed to
+``h >= 0, h >= t`` (which both branches imply, so pruning never removes a
+satisfiable completion); an infeasible LP prunes the subtree and learns a
+conflict clause from the rows of its Farkas certificate that are linked to
+branch literals.  Its feasible leaves are the affine pieces above; it
+decides thresholds that fall within numerical tolerance of ``z*``, replays
+brackets, and yields the witnesses refinement splits around.
 """
 
 from __future__ import annotations
@@ -41,6 +56,9 @@ TIE_TOL = 1e-6
 # Membership tolerance for the recomputed witness successor; wider than
 # EPS_LP because re-evaluating the network can flip tie neurons.
 WITNESS_TOL = 1e-5
+
+# Upper cap on the noise-normalised slack, so halfspace targets stay bounded.
+SLACK_CAP = 100.0
 
 DEFAULT_NODE_BUDGET = 1 << 20
 
@@ -100,6 +118,34 @@ def network_interval_bounds(net, d_lo, d_hi):
         lo, hi = np.maximum(t_lo, 0.0), np.maximum(t_hi, 0.0)
     u_lo, u_hi = interval_affine(net.layers[-1][0], net.layers[-1][1], lo, hi)
     return np.concatenate(t_los), np.concatenate(t_his), (u_lo, u_hi)
+
+
+def cell_network_bounds(net, cell):
+    """:func:`network_interval_bounds` over the bounding box of ``cell``'s
+    region, seen through the cell's measurement map."""
+    lo, hi = cell.region.bounding_box()
+    d_lo, d_hi = interval_affine(cell.C, cell.c, lo, hi)
+    return network_interval_bounds(net, d_lo, d_hi)
+
+
+def presolve_branches(t_lo, t_hi):
+    """Branches the interval bounds decide: ``{neuron: active}``.
+
+    A neuron whose interval rules out one branch is forced to the other.
+    Returns None when some neuron can take neither branch, which makes
+    every query of the cell unsatisfiable.
+    """
+    forced = {}
+    for j in range(len(t_lo)):
+        can_inactive = t_lo[j] <= -EPS_STRICT
+        can_active = t_hi[j] >= 0.0
+        if can_active and not can_inactive:
+            forced[j] = True
+        elif can_inactive and not can_active:
+            forced[j] = False
+        elif not can_active and not can_inactive:
+            return None
+    return forced
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,9 +301,7 @@ def build_encoding(scenario, cell, target_aug):
         row[h_base + offsets[-2]:h_base + offsets[-1]] = -WL[d]
         rows.append((row, "=", float(wL[d]), ("out", d)))
 
-    lo, hi = region.bounding_box()
-    d_lo, d_hi = interval_affine(cell.C, cell.c, lo, hi)
-    t_lo, t_hi, _ = network_interval_bounds(net, d_lo, d_hi)
+    t_lo, t_hi, _ = cell_network_bounds(net, cell)
 
     problem = SmcProblem(
         scenario=scenario, cell=cell, target=target_aug,
@@ -286,12 +330,11 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def solve(problem, node_budget=DEFAULT_NODE_BUDGET, presolve=True, phase_hint=None):
+def solve(problem, node_budget=DEFAULT_NODE_BUDGET, presolve=True):
     """Decide the query; see :class:`SmcOutcome`.
 
     Search order is layer-major over neurons; branch values follow the sign
-    of the relaxation LP's pre-activation (or ``phase_hint``, e.g. a witness
-    pattern from a neighboring query).  Exceeding ``node_budget``, or a
+    of the relaxation LP's pre-activation.  Exceeding ``node_budget``, or a
     numerical failure of an LP or of the witness audit, returns status
     "unknown", which callers must treat as satisfiable.
 
@@ -306,15 +349,9 @@ def solve(problem, node_budget=DEFAULT_NODE_BUDGET, presolve=True, phase_hint=No
 
     forced = {}
     if presolve:
-        for j in range(N):
-            can_inactive = problem.t_lo[j] <= -EPS_STRICT
-            can_active = problem.t_hi[j] >= 0.0
-            if can_active and not can_inactive:
-                forced[j] = True
-            elif can_inactive and not can_active:
-                forced[j] = False
-            elif not can_active and not can_inactive:
-                return SmcOutcome("unsat", lp_calls=0, nodes=0)
+        forced = presolve_branches(problem.t_lo, problem.t_hi)
+        if forced is None:
+            return SmcOutcome("unsat", lp_calls=0, nodes=0)
 
     def propagate(assign):
         changed = True
@@ -362,10 +399,7 @@ def solve(problem, node_budget=DEFAULT_NODE_BUDGET, presolve=True, phase_hint=No
         if len(assign) == N:
             return _make_witness(problem, res.point, assign, stats["lp"], stats["nodes"])
         j = next(k for k in range(N) if k not in assign)
-        if phase_hint is not None and j < len(phase_hint):
-            first = bool(phase_hint[j])
-        else:
-            first = bool(res.point[problem.t_var(j)] > 0.0)
+        first = bool(res.point[problem.t_var(j)] > 0.0)
         for val in (first, not first):
             child = dict(assign)
             child[j] = val
@@ -411,7 +445,7 @@ def center_witness(problem, outcome):
             rows.append((np.append(a, 0.0), rel, b, label))
     cap = np.zeros(nv + 1)
     cap[nv] = 1.0
-    rows.append((cap, "<=", 100.0, ("slack_cap",)))
+    rows.append((cap, "<=", SLACK_CAP, ("slack_cap",)))
     rows.append((-cap, "<=", 0.0, ("slack_pos",)))
     lp = linprog.LinearProgram.from_rows(nv + 1, rows, objective=("max", cap.copy()))
     try:
@@ -463,3 +497,132 @@ def check_pattern(problem, pattern):
     assign = {j: bool(pattern[j]) for j in range(problem.num_neurons)}
     res = linprog.solve(problem.lp_for_assignment(assign))
     return not isinstance(res, linprog.Infeasible)
+
+
+@dataclass(frozen=True, eq=False)
+class AffinePiece:
+    """One feasible activation pattern of a cell, projected to state space.
+
+    On the states ``{x : A x <= b}`` (the cell's rows plus the branch row
+    of each neuron whose branch the interval bounds do not imply) the
+    closed loop is ``x' = M x + m``.
+    """
+
+    A: np.ndarray
+    b: np.ndarray
+    M: np.ndarray
+    m: np.ndarray
+
+
+def affine_pieces(scenario, cell):
+    """The closed loop's affine pieces on ``cell``, as a tuple of :class:`AffinePiece`.
+
+    Neurons are split layer by layer with the branch rows and interval
+    pre-forcing of :func:`solve`, so each piece is one feasible leaf of
+    its search, projected to the state.  A branch row the interval bounds
+    imply adds nothing; a child that a parent's known point satisfies
+    needs no LP.  An emptiness LP that fails numerically keeps its piece,
+    which can only raise :func:`max_slack`.
+    """
+    net = scenario.controller
+    dyn = scenario.dynamics
+    t_lo, t_hi, _ = cell_network_bounds(net, cell)
+    forced = presolve_branches(t_lo, t_hi)
+    if forced is None:
+        return ()
+    # Partial pieces: rows so far, a point satisfying them (or None) and the
+    # current layer's input as the affine map ``G x + g`` of the state.
+    partial = [(list(cell.region.A), list(cell.region.b), None, cell.C, cell.c)]
+    offset = 0
+    for W, w in net.layers[:-1]:
+        grown = []
+        for A, b, point, G, g in partial:
+            T, tv = W @ G, W @ g + w
+            leaves = [(A, b, point, ())]
+            for i in range(len(w)):
+                j = offset + i
+                branches = (forced[j],) if j in forced else (True, False)
+                leaves = [child for leaf in leaves for active in branches
+                          for child in _branch(leaf, T[i], tv[i], active, t_lo[j], t_hi[j])]
+            for A2, b2, point2, bits in leaves:
+                on = np.array(bits, dtype=float)
+                grown.append((A2, b2, point2, on[:, None] * T, on * tv))
+        partial = grown
+        offset += len(w)
+    WL, wL = net.layers[-1]
+    return tuple(AffinePiece(A=np.array(A), b=np.array(b),
+                             M=dyn.A + dyn.B @ (WL @ G), m=dyn.B @ (WL @ g + wL))
+                 for A, b, _, G, g in partial)
+
+
+def _branch(leaf, a, a0, active, lo, hi):
+    """Children of ``leaf`` with the neuron ``t = a . x + a0`` on one branch:
+    a one-element list, or empty when that branch is infeasible."""
+    A, b, point, bits = leaf
+    bits = bits + (active,)
+    if (lo >= 0.0) if active else (hi <= -EPS_STRICT):
+        return [(A, b, point, bits)]
+    row, rhs = (-a, float(a0)) if active else (a, -EPS_STRICT - float(a0))
+    A, b = A + [row], b + [rhs]
+    if point is None or row @ point > rhs:
+        lp = linprog.LinearProgram.from_rows(
+            len(row), [(A[k], "<=", float(b[k]), k) for k in range(len(b))])
+        try:
+            res = linprog.solve(lp)
+        except linprog.LpNumericalError:
+            point = None
+        else:
+            if isinstance(res, linprog.Infeasible):
+                return []
+            point = res.point
+    return [(A, b, point, bits)]
+
+
+def _row_spreads(target, sigma):
+    """Noise standard deviation along each target row, as in ``augmented_set``."""
+    return np.sqrt((target.A ** 2) @ (np.asarray(sigma, dtype=float) ** 2))
+
+
+def max_slack(pieces, target, sigma):
+    """``z*``: the largest minimum noise-normalised slack of ``target`` that
+    a successor ``M x + m`` of some piece reaches.
+
+    Per piece, one LP in ``(x, s)`` maximises ``s`` subject to ``x`` in the
+    piece and ``A_t (M x + m) + s * spread <= b_t``, with ``s`` capped at
+    ``SLACK_CAP``.  Returns -inf when no piece is feasible and +inf when an
+    LP fails numerically, so a failure can only loosen a bound.
+    """
+    spread = _row_spreads(target, sigma)
+    best = -np.inf
+    for piece in pieces:
+        n = piece.M.shape[1]
+        rows = [(np.append(piece.A[k], 0.0), "<=", float(piece.b[k]), ("piece", k))
+                for k in range(len(piece.b))]
+        TA = target.A @ piece.M
+        tb = target.b - target.A @ piece.m
+        rows += [(np.append(TA[i], spread[i]), "<=", float(tb[i]), ("tgt", i))
+                 for i in range(target.num_halfspaces)]
+        cap = np.zeros(n + 1)
+        cap[n] = 1.0
+        rows.append((cap, "<=", SLACK_CAP, ("slack_cap",)))
+        lp = linprog.LinearProgram.from_rows(n + 1, rows, objective=("max", cap.copy()))
+        try:
+            res = linprog.solve(lp)
+        except linprog.LpNumericalError:
+            return np.inf
+        if isinstance(res, linprog.Feasible):
+            best = max(best, res.objective_value)
+    return best
+
+
+def slack_tolerance(target, sigma):
+    """Band around ``z*`` inside which a threshold's verdict must come from
+    :func:`solve` rather than from comparing ``z*`` with its quantile.
+
+    A point an LP accepts may violate each normalised row by
+    ``linprog.EPS_FEAS``; on target row ``i`` that is ``EPS_FEAS * |a_i| /
+    spread_i`` in slack units.  The band is twice the largest of these, one
+    for the slack LP and one for the oracle's leaf LP.
+    """
+    ratio = np.linalg.norm(target.A, axis=1) / _row_spreads(target, sigma)
+    return 2.0 * linprog.EPS_FEAS * float(np.max(ratio))

@@ -1,4 +1,5 @@
-"""Transition graph: bisection mechanics, pruning guarantees, unsafe-edge
+"""Transition graph: threshold-grid mechanics, equality with a bisection
+driven by the reach-query oracle, pruning guarantees, unsafe-edge
 decomposition, build structure, and document persistence."""
 
 import hashlib
@@ -10,7 +11,7 @@ from relusafe import graph as gr
 from relusafe import montecarlo as mc
 from relusafe import scenario as sc
 from relusafe import smc
-from relusafe.geometry import Polytope, augmented_set
+from relusafe.geometry import Polytope, augmented_set, is_empty_intersection
 
 
 def test_bisection_floor_values():
@@ -21,15 +22,14 @@ def test_bisection_floor_values():
 
 def test_bisection_trace_always_unsat(small_scenario, monkeypatch):
     seen = []
-    true_aug = gr.augmented_set
+    true_quantile = gr.gaussian_quantile
 
-    def spy(poly, q, sigma):
+    def spy(q):
         seen.append(q)
-        return true_aug(poly, q, sigma)
+        return true_quantile(q)
 
-    monkeypatch.setattr(gr, "augmented_set", spy)
-    monkeypatch.setattr(smc, "solve",
-                        lambda *a, **k: smc.SmcOutcome("unsat"))
+    monkeypatch.setattr(gr, "gaussian_quantile", spy)
+    monkeypatch.setattr(smc, "max_slack", lambda *a: -np.inf)
     cell = small_scenario.partition[0]
     bound = gr.estimate_bound(small_scenario, cell, small_scenario.partition[1], 0.1)
     assert seen == [0.5, 0.25, 0.125, 0.0625]
@@ -37,11 +37,110 @@ def test_bisection_trace_always_unsat(small_scenario, monkeypatch):
 
 
 def test_bisection_always_sat(small_scenario, monkeypatch):
-    monkeypatch.setattr(smc, "solve",
-                        lambda *a, **k: smc.SmcOutcome("sat"))
+    monkeypatch.setattr(smc, "max_slack", lambda *a: np.inf)
     cell = small_scenario.partition[0]
     bound = gr.estimate_bound(small_scenario, cell, small_scenario.partition[1], 0.1)
     assert bound == 1.0
+
+
+def reference_edge(scenario, cell, region, dq):
+    """The edge tuple of a threshold bisection that asks the reach-query
+    oracle at every step, after the same prune test."""
+    sigma = scenario.dynamics.sigma
+    if is_empty_intersection(gr.reach_box(scenario, cell),
+                             augmented_set(region, gr.bisection_floor(dq), sigma)):
+        return dq, 0.0, dq, "pruned"
+    problem = smc.build_encoding(scenario, cell, region)
+    q_lo, q_hi = 0.0, 1.0
+    while q_hi - q_lo > dq:
+        q = 0.5 * (q_lo + q_hi)
+        if smc.solve(problem.with_target(augmented_set(region, q, sigma))).is_sat:
+            q_lo = q
+        else:
+            q_hi = q
+    return max(q_hi, dq), q_lo, q_hi, "smc"
+
+
+def dense_scenario(seed):
+    """The 5x5 demo grid under a random dense [8, 8] controller: Gaussian
+    weights scaled by fan-in, no zero rows, so few neurons are pre-forced."""
+    base = sc.make_demo_scenario(5, [8, 8], seed=0)
+    rng = np.random.default_rng(seed)
+    layers, prev = [], base.controller.input_dim
+    for width in (8, 8, base.controller.output_dim):
+        layers.append((rng.normal(size=(width, prev)) / np.sqrt(prev),
+                       0.5 * rng.normal(size=width)))
+        prev = width
+    net = sc.ReluNetwork(layers=tuple(layers), input_dim=base.controller.input_dim)
+    return sc.Scenario(dynamics=base.dynamics, controller=net,
+                       workspace=base.workspace, partition=base.partition)
+
+
+def test_grid_walk_equals_oracle_bisection(small_scenario):
+    """Every pair and unsafe piece of the small scenario, at dq 0.05."""
+    dq = 0.05
+    for cell in small_scenario.partition:
+        reach = gr.CellReach(small_scenario, cell)
+        regions = ([t.region for t in small_scenario.partition]
+                   + gr.unsafe_pieces(small_scenario.workspace))
+        for region in regions:
+            assert (gr.estimate_edge(small_scenario, cell, region, dq, reach)
+                    == reference_edge(small_scenario, cell, region, dq))
+
+
+def test_grid_walk_equals_oracle_bisection_dense_controller(monkeypatch):
+    """Two source rows where the cell splits into several pieces and the
+    oracle has to branch."""
+    scenario = dense_scenario(1)
+    dq = 0.05
+    nodes = []
+    real_solve = smc.solve
+
+    def counting_solve(*args, **kwargs):
+        out = real_solve(*args, **kwargs)
+        nodes.append(out.nodes)
+        return out
+
+    monkeypatch.setattr(smc, "solve", counting_solve)
+    for i in (21, 23):
+        cell = scenario.partition[i]
+        reach = gr.CellReach(scenario, cell)
+        assert len(reach.pieces) >= 3
+        row = [gr.estimate_edge(scenario, cell, t.region, dq, reach) for t in scenario.partition]
+        assert not nodes  # no grid point fell within the tie tolerance
+        assert row == [reference_edge(scenario, cell, t.region, dq) for t in scenario.partition]
+        assert sum(e[3] == "smc" for e in row) >= 3
+        assert max(nodes) > 1
+        nodes.clear()
+
+
+def test_tie_is_decided_by_the_oracle(small_scenario, monkeypatch):
+    """A target shifted so that z* sits exactly on the first grid quantile."""
+    dq = 0.05
+    cell = small_scenario.partition[4]
+    sigma = small_scenario.dynamics.sigma
+    region = small_scenario.partition[5].region
+    reach = gr.CellReach(small_scenario, cell)
+    z_star = smc.max_slack(reach.pieces, region, sigma)
+    assert np.isfinite(z_star)
+    spread = np.sqrt((region.A ** 2) @ (sigma ** 2))
+    tied = Polytope(region.A, region.b - z_star * spread)
+    assert abs(smc.max_slack(reach.pieces, tied, sigma) - gr.gaussian_quantile(0.5)) \
+        <= smc.slack_tolerance(tied, sigma)
+
+    asked = []
+    real_solve = smc.solve
+
+    def spy(problem, *args, **kwargs):
+        asked.append(problem.target)
+        return real_solve(problem, *args, **kwargs)
+
+    monkeypatch.setattr(smc, "solve", spy)
+    edge = gr.estimate_edge(small_scenario, cell, tied, dq, reach)
+    assert len(asked) == 1
+    np.testing.assert_array_equal(asked[0].b, augmented_set(tied, 0.5, sigma).b)
+    monkeypatch.setattr(smc, "solve", real_solve)
+    assert edge == reference_edge(small_scenario, cell, tied, dq)
 
 
 def zero_controller_scenario(sigma=1e-3, grid=2):

@@ -128,6 +128,34 @@ def test_agreement_with_enumeration(seed):
         assert bare.status == verdict.status
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_affine_pieces_agree_with_network_and_oracle(seed):
+    """A sampled state away from every neuron tie lies in exactly one piece,
+    whose affine map gives the network's successor; and ``z* >= 0`` against
+    a target holds exactly when the oracle finds the target reachable."""
+    rng = np.random.default_rng(seed)
+    decided = 0
+    for _ in range(6):
+        scenario, cell, aug = random_instance(rng)
+        dyn = scenario.dynamics
+        pieces = smc.affine_pieces(scenario, cell)
+        lo, hi = cell.region.bounding_box()
+        for x in rng.uniform(lo, hi, size=(50, len(lo))):
+            u, t = sc.nn_evaluate(scenario.controller, cell.measure(x))
+            if np.min(np.abs(t)) < 1e-6:
+                continue
+            home = [p for p in pieces if np.all(p.A @ x <= p.b + 1e-9)]
+            assert len(home) == 1
+            np.testing.assert_allclose(home[0].M @ x + home[0].m,
+                                       dyn.A @ x + dyn.B @ u, atol=1e-9)
+        z_star = smc.max_slack(pieces, aug, dyn.sigma)
+        if abs(z_star) > smc.slack_tolerance(aug, dyn.sigma):
+            decided += 1
+            verdict = smc.solve(smc.build_encoding(scenario, cell, aug))
+            assert (z_star > 0.0) == verdict.is_sat
+    assert decided
+
+
 def test_witness_validity(rng):
     found = 0
     while found < 10:
@@ -215,8 +243,11 @@ def test_budget_exhaustion_reports_unknown():
 @pytest.mark.parametrize("site", ["lp", "witness"])
 def test_numerical_failure_is_unknown_and_conservative(small_scenario, monkeypatch, site):
     """A numerical failure inside a query, injected at every call in turn,
-    yields "unknown" rather than a crash, and bisection then returns a
-    bracket no lower than the fault-free one."""
+    yields "unknown" rather than a crash.  In edge estimation, injected at
+    every LP in turn (prune test, emptiness and slack LPs), it never raises
+    and never gives a bound or bracket below the fault-free one: an
+    undecided prune test brackets the pair, a failed emptiness LP keeps its
+    piece and a failed slack LP counts as z* = +inf."""
     module, name, error = {
         "lp": (linprog, "solve", linprog.LpNumericalError),
         "witness": (smc, "_make_witness", smc.SmcNumericalError),
@@ -246,12 +277,14 @@ def test_numerical_failure_is_unknown_and_conservative(small_scenario, monkeypat
         region = small_scenario.partition[target].region
         calls.clear()
         fail_at = 0
-        clean = gr._bisect_region(small_scenario, cell, region, 0.05)
+        clean = gr.estimate_edge(small_scenario, cell, region, 0.05)
+        assert clean[3] == "smc"
         for fail_at in range(1, len(calls) + 1):
             calls.clear()
-            lo, hi = gr._bisect_region(small_scenario, cell, region, 0.05)
-            assert lo >= clean[0] and hi >= clean[1]
-            moved += (lo, hi) != clean
+            out = gr.estimate_edge(small_scenario, cell, region, 0.05)
+            assert out[3] == "smc"
+            assert all(got >= want for got, want in zip(out[:3], clean[:3]))
+            moved += out != clean
     assert moved or site == "witness"
 
 
