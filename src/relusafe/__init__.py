@@ -6,7 +6,7 @@ graph with :func:`build_graph`, propagate horizon bounds with
 against :func:`estimate_true_pk`.
 """
 
-from .geometry import (Halfspace, Hyperplane, Polytope, augmented_set,
+from .geometry import (Halfspace, Hyperplane, Polytope, augmented_set, box_pairs,
                        cell_unsafe_overlap, chebyshev_center, gaussian_cdf,
                        gaussian_quantile, is_empty_intersection, split)
 # The package version is the tool version every saved graph records.

@@ -7,9 +7,15 @@ hyperplane splitting, Chebyshev centers and unsafe-overlap queries.  All
 values are immutable after construction; operations are pure.
 
 Redundant halfspaces are kept, never pruned: every operation here is correct
-regardless of redundancy.  Emptiness is decided by LP feasibility; boundary
-contact counts as a non-empty intersection, which errs on the conservative
-side for the callers that merge far-apart regions.
+regardless of redundancy.  :func:`is_empty_intersection` decides emptiness
+by LP feasibility; boundary contact counts as a non-empty intersection,
+which errs on the conservative side for the callers that merge far-apart
+regions.  Axis-aligned polytopes (every row has one nonzero coefficient,
+as every grid cell has) also carry closed-form bounds:
+:meth:`Polytope.axis_bounds`, from which :func:`box_pairs` decides many
+pairs at once by intervals wherever the answer clears :data:`BOX_BAND`.
+Callers send only the pairs it leaves undecided, and pairs with a non-box
+member, to the LP.
 """
 
 from __future__ import annotations
@@ -26,6 +32,11 @@ EPS_GEO = 1e-9
 # Margin used where a decision needs points strictly inside/outside a face,
 # comfortably above the LP solver's own resolution.
 STRICT_MARGIN = 1e-7
+# Clearance an interval verdict needs: a gap or an overlap of every axis
+# wider than this decides the pair as the LP would.  It lies strictly
+# between the LP's pivot tolerance (1e-9) and STRICT_MARGIN, so a gap of
+# STRICT_MARGIN is still decided by intervals.
+BOX_BAND = 1e-8
 
 
 class GeometryError(Exception):
@@ -94,6 +105,7 @@ class Polytope:
         self.b = b
         self._cheb = None
         self._bbox = None
+        self._axis = False  # not yet computed; None once known not axis-aligned
 
     @property
     def dim(self):
@@ -144,9 +156,42 @@ class Polytope:
     def is_empty(self):
         return isinstance(linprog.solve(self._halfspace_lp()), linprog.Infeasible)
 
+    def axis_bounds(self):
+        """Per-axis (lo, hi) when every row has exactly one nonzero
+        coefficient, otherwise None; memoized.
+
+        An axis without an upper (lower) row reads +inf (-inf).  The bounds
+        are the tightest rows' ``b / a``, so an empty axis-aligned polytope
+        reads ``lo > hi`` somewhere.
+        """
+        if self._axis is False:
+            nonzero = self.A != 0.0
+            if not np.all(nonzero.sum(axis=1) == 1):
+                self._axis = None
+            else:
+                axis = nonzero.argmax(axis=1)
+                coef = self.A[np.arange(self.num_halfspaces), axis]
+                limit = self.b / coef
+                lo = np.full(self.dim, -math.inf)
+                hi = np.full(self.dim, math.inf)
+                np.maximum.at(lo, axis[coef < 0.0], limit[coef < 0.0])
+                np.minimum.at(hi, axis[coef > 0.0], limit[coef > 0.0])
+                # Zeros signed as the support LPs return them: -0.0 for a
+                # zero minimum, +0.0 for a zero maximum.
+                self._axis = (-(0.0 - lo), hi + 0.0)
+        return self._axis
+
     def bounding_box(self):
-        """Tight axis-aligned (lo, hi) via 2n support LPs; memoized."""
+        """Tight axis-aligned (lo, hi); memoized.
+
+        Read off :meth:`axis_bounds` for a non-empty axis-aligned polytope,
+        otherwise from 2n support LPs.
+        """
         if self._bbox is None:
+            axis = self.axis_bounds()
+            if axis is not None and np.all(axis[0] <= axis[1]):
+                self._bbox = axis
+                return self._bbox
             n = self.dim
             lo = np.empty(n)
             hi = np.empty(n)
@@ -295,21 +340,65 @@ def split(poly, hyperplane):
     return poly.with_extra(nrm, off), poly.with_extra(-nrm, -off)
 
 
-def cell_unsafe_overlap(cell, workspace):
-    """True iff ``cell`` can reach an unsafe position.
+def box_pairs(polys1, polys2):
+    """Interval verdicts for every pair of two polytope lists.
 
-    Tested piecewise by LP: intersection with each obstacle (lifted through
-    the position projection) and with each reversed domain halfspace.  Domain
+    Returns ``(disjoint, overlapping, widths)``: ``widths[i, j]`` holds the
+    per-axis extent of the intersection of the axis bounds of ``polys1[i]``
+    and ``polys2[j]`` (negative across a gap), ``disjoint[i, j]`` says some
+    axis gap is wider than :data:`BOX_BAND` (the pair's intersection is
+    empty) and ``overlapping[i, j]`` that every axis extent is wider than
+    the band (it is not).  Pairs that are neither are undecided, and so is
+    every pair with a non-axis-aligned member: its bounds stack as NaN,
+    which no comparison accepts.
+    """
+    dim = next((p.dim for p in (*polys1, *polys2)), 0)
+
+    def stack(polys):
+        lo = np.full((len(polys), dim), np.nan)
+        hi = lo.copy()
+        for k, poly in enumerate(polys):
+            bounds = poly.axis_bounds()
+            if bounds is not None:
+                lo[k], hi[k] = bounds
+        return lo, hi
+
+    lo1, hi1 = stack(polys1)
+    lo2, hi2 = stack(polys2)
+    widths = np.minimum(hi1[:, None], hi2[None]) - np.maximum(lo1[:, None], lo2[None])
+    return (np.any(widths < -BOX_BAND, axis=2), np.all(widths > BOX_BAND, axis=2), widths)
+
+
+def outside_facets(poly, margin):
+    """One halfspace polytope ``a_i . x >= b_i + margin_i`` per row of ``poly``.
+
+    ``margin`` is a scalar or one value per row.
+    """
+    off = -poly.b - margin
+    return [Polytope(-poly.A[i][None, :], off[i:i + 1]) for i in range(poly.num_halfspaces)]
+
+
+def unsafe_overlaps(regions, workspace):
+    """Boolean array: ``regions[i]`` can reach an unsafe position.
+
+    Tested piecewise: intersection with each obstacle (lifted through the
+    position projection) and with each reversed domain halfspace.  Domain
     boundary contact alone does not count: the complement test carries a
     strict margin, so a cell tiling the domain edge-to-edge stays safe.
+    :func:`box_pairs` decides what it can; the remaining pairs of a region
+    not yet found unsafe go to the LP.
     """
-    for obstacle in workspace.lifted_obstacles():
-        if not is_empty_intersection(cell, obstacle):
-            return True
     dom = workspace.domain
-    for i in range(dom.num_halfspaces):
-        margin = STRICT_MARGIN * max(1.0, float(np.linalg.norm(dom.A[i])))
-        outside = Polytope(-dom.A[i][None, :], np.array([-(dom.b[i] + margin)]))
-        if not is_empty_intersection(cell, outside):
-            return True
-    return False
+    pieces = list(workspace.lifted_obstacles()) + outside_facets(
+        dom, STRICT_MARGIN * np.maximum(1.0, np.linalg.norm(dom.A, axis=1)))
+    disjoint, overlapping, _ = box_pairs(regions, pieces)
+    unsafe = np.any(overlapping, axis=1)
+    for i in np.nonzero(~unsafe)[0]:
+        unsafe[i] = any(not is_empty_intersection(regions[i], pieces[j])
+                        for j in np.nonzero(~disjoint[i])[0])
+    return unsafe
+
+
+def cell_unsafe_overlap(cell, workspace):
+    """True iff ``cell`` can reach an unsafe position (see :func:`unsafe_overlaps`)."""
+    return bool(unsafe_overlaps([cell], workspace)[0])

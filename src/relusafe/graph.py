@@ -36,7 +36,8 @@ from functools import cached_property
 import numpy as np
 
 from . import smc
-from .geometry import Polytope, augmented_set, gaussian_quantile, is_empty_intersection
+from .geometry import (Polytope, augmented_set, gaussian_quantile, is_empty_intersection,
+                       outside_facets)
 from .linprog import LpNumericalError
 from .scenario import scenario_sha256
 
@@ -264,11 +265,7 @@ def unsafe_pieces(workspace):
     One piece per obstacle (lifted through the position projection) and one
     per reversed domain halfspace.
     """
-    pieces = list(workspace.lifted_obstacles())
-    dom = workspace.domain
-    for i in range(dom.num_halfspaces):
-        pieces.append(Polytope(-dom.A[i][None, :], np.array([-dom.b[i]])))
-    return pieces
+    return list(workspace.lifted_obstacles()) + outside_facets(workspace.domain, 0.0)
 
 
 def sink_edge(scenario, cell, dq, reach=None):

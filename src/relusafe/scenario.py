@@ -15,10 +15,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import STRICT_MARGIN, GeometryError, Polytope, is_empty_intersection
+from .geometry import (EPS_GEO, STRICT_MARGIN, GeometryError, Polytope, box_pairs,
+                       is_empty_intersection, outside_facets)
 
 SCENARIO_FORMAT = "relusafe-scenario-v1"
 
@@ -172,7 +174,15 @@ class Workspace:
         object.__setattr__(self, "position_projection", proj)
 
     def lifted_obstacles(self):
-        """Obstacles as state-space polytopes through the position projection."""
+        """Obstacles as state-space polytopes through the position projection.
+
+        The polytopes are built once per workspace, so their memoized data
+        (bounding and axis boxes) is shared by every caller.
+        """
+        return list(self._lifted)
+
+    @cached_property
+    def _lifted(self):
         n = self.domain.dim
         out = []
         for obs in self.obstacles:
@@ -180,7 +190,7 @@ class Workspace:
             for j, axis in enumerate(self.position_projection):
                 A[:, axis] = obs.A[:, j]
             out.append(Polytope(A, obs.b.copy()))
-        return out
+        return tuple(out)
 
     def project(self, x):
         x = np.asarray(x, dtype=float)
@@ -231,6 +241,17 @@ class Scenario:
     def cell(self, index):
         return self.partition[index]
 
+    @cached_property
+    def _shared_halfspaces(self):
+        """``(A, offsets)`` when every cell region ``k`` is ``A x <= offsets[:, k]``,
+        else None."""
+        if not self.partition:
+            return None
+        A = self.partition[0].region.A
+        if not all(np.array_equal(cell.region.A, A) for cell in self.partition):
+            return None
+        return A, np.stack([cell.region.b for cell in self.partition], axis=1)
+
     @property
     def num_cells(self):
         return len(self.partition)
@@ -239,9 +260,27 @@ class Scenario:
         """Index of the first cell containing each of the (N, n) points, -1 if none.
 
         Membership uses the geometric tolerance, so a point on a shared face
-        belongs to the lower-indexed cell.
+        belongs to the lower-indexed cell.  When every cell has the same
+        halfspace matrix (a grid of boxes), the points are multiplied by it
+        once and compared against all cells' offsets together; the
+        arithmetic is :meth:`Polytope.contains_many`'s, so the indices are
+        the per-cell loop's.
         """
         points = np.asarray(points, dtype=float)
+        if self._shared_halfspaces is not None:
+            A, offsets = self._shared_halfspaces
+            products = points @ A.T
+            idx = np.empty(len(points), dtype=int)
+            # Blocks of at most 4096 point-cell pairs keep every temporary
+            # at 32 KB, so the lookup does not raise the peak memory.
+            step = max(1, 4096 // self.num_cells)
+            for start in range(0, len(points), step):
+                block = products[start:start + step]
+                inside = np.ones((len(block), self.num_cells), dtype=bool)
+                for r in range(A.shape[0]):
+                    inside &= block[:, r, None] - offsets[r] <= EPS_GEO
+                idx[start:start + step] = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
+            return idx
         idx = np.full(len(points), -1, dtype=int)
         rest = np.arange(len(points))
         for k, cell in enumerate(self.partition):
@@ -270,11 +309,17 @@ def closed_loop_mean_step(scenario, X, cell, tol=1e-7):
 def validate_scenario(scenario, coverage_samples=40):
     """Check the cross-cutting scenario invariants, raising on the first failure.
 
-    Pairwise cell disjointness is decided by LP on regions shrunk by the
-    geometric tolerance; containment of every cell in the domain by support
-    LPs.  Full coverage of the domain is checked on a deterministic grid of
+    Pairwise cell disjointness is decided on regions shrunk by the strict
+    margin, containment of every cell in the domain against the domain's
+    margin-shifted outsides; :func:`relusafe.geometry.box_pairs` decides
+    the axis-aligned pairs, and the rest go to emptiness and support LPs.
+    Full coverage of the domain is checked on a deterministic grid of
     sample points (an exact polyhedral union test would need region
-    differencing, which this package does not carry).
+    differencing, which this package does not carry).  When the domain and
+    every cell are axis-aligned, the covered volume must also reach the
+    domain's up to a relative 1e-9, by the Bonferroni lower bound
+    ``sum vol(cell & domain) - sum over pairs vol(cell_i & cell_j)``, which
+    catches a hole thinner than the sample grid.
     """
     dyn = scenario.dynamics
     net = scenario.controller
@@ -296,22 +341,28 @@ def validate_scenario(scenario, coverage_samples=40):
             raise ScenarioError(f"cell {cell.id}: region unbounded")
 
     cells = scenario.partition
-    for i in range(len(cells)):
-        shrunk_i = Polytope(cells[i].region.A, cells[i].region.b - STRICT_MARGIN)
-        dom = scenario.workspace.domain
-        for f in range(dom.num_halfspaces):
-            support = cells[i].region.extreme(dom.A[f], "max")
-            if support > dom.b[f] + 1e-7:
-                raise ScenarioError(f"cell {cells[i].id}: leaves the domain")
-        for j in range(i + 1, len(cells)):
-            shrunk_j = Polytope(cells[j].region.A, cells[j].region.b - STRICT_MARGIN)
-            if not is_empty_intersection(shrunk_i, shrunk_j):
-                raise ScenarioError(f"cells {cells[i].id} and {cells[j].id} overlap")
+    regions = [cell.region for cell in cells]
+    dom = scenario.workspace.domain
+    inside, leaves, _ = box_pairs(regions, outside_facets(dom, STRICT_MARGIN))
+    for i, f in zip(*np.nonzero(~(inside | leaves))):
+        leaves[i, f] = regions[i].extreme(dom.A[f], "max") > dom.b[f] + STRICT_MARGIN
+    shrunk = [Polytope(r.A, r.b - STRICT_MARGIN) for r in regions]
+    apart, overlap, _ = box_pairs(shrunk, shrunk)
+    overlap = np.triu(overlap, 1)
+    for i, j in zip(*np.nonzero(np.triu(~(apart | overlap), 1))):
+        overlap[i, j] = not is_empty_intersection(shrunk[i], shrunk[j])
+    bad = np.nonzero(leaves.any(axis=1) | overlap.any(axis=1))[0]
+    if len(bad):
+        i = bad[0]
+        if leaves[i].any():
+            raise ScenarioError(f"cell {cells[i].id}: leaves the domain")
+        j = int(np.argmax(overlap[i]))
+        raise ScenarioError(f"cells {cells[i].id} and {cells[j].id} overlap")
 
-    lo, hi = scenario.workspace.domain.bounding_box()
+    lo, hi = dom.bounding_box()
     axes = [np.linspace(lo[d], hi[d], coverage_samples) for d in range(dyn.n)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dyn.n)
-    in_domain = scenario.workspace.domain.contains_many(mesh, tol=-1e-6)
+    in_domain = dom.contains_many(mesh, tol=-1e-6)
     pts = mesh[in_domain]
     covered = np.zeros(len(pts), dtype=bool)
     for cell in cells:
@@ -319,6 +370,17 @@ def validate_scenario(scenario, coverage_samples=40):
     if not np.all(covered):
         missing = pts[~covered][0]
         raise ScenarioError(f"partition does not cover the domain near {missing}")
+
+    if dom.axis_bounds() is not None and all(r.axis_bounds() is not None for r in regions):
+        def volume(widths):
+            return np.prod(np.maximum(widths, 0.0), axis=-1)
+
+        total = float(np.prod(hi - lo))
+        area = volume(box_pairs(regions, [dom])[2]).sum()
+        area -= np.triu(volume(box_pairs(regions, regions)[2]), 1).sum()
+        if area < total * (1.0 - 1e-9):
+            raise ScenarioError(f"partition does not cover the domain: its cells are proven "
+                                f"to cover only {area!r} of the volume {total!r}")
     return scenario
 
 

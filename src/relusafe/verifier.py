@@ -22,9 +22,10 @@ the max over members, enters the recursion.
 
 Merging needs a threshold ``p`` in (0, 0.5), the range of the union-bound
 argument above.  ``verify`` decides the separation of every pair of cells
-once per call (one emptiness LP each), then merges each owner's row on its
-own: owners do not interact within a horizon step, so one greedy pass per
-owner reaches the fixpoint.  The greedy step works on arrays over the row
+once per call (by intervals for pairs of box cells, by one emptiness LP for
+each pair they leave undecided), then merges each owner's row on its own:
+owners do not interact within a horizon step, so one greedy pass per owner
+reaches the fixpoint.  The greedy step works on arrays over the row
 (bounds, node values, group separation, pair slack).
 """
 
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import augmented_set, cell_unsafe_overlap, is_empty_intersection
+from .geometry import augmented_set, box_pairs, is_empty_intersection, unsafe_overlaps
 from .graph import UNSAFE, Edge, NodeId, cell_node, merged_node
 
 MODES = ("naive", "merge", "tpn", "merge+tpn")
@@ -84,10 +85,8 @@ def node_bound(bounds_k, node):
 
 def init_p0(scenario):
     """Horizon-zero bounds: one on cells that can touch the unsafe set."""
-    bounds = {}
-    for i, cell in enumerate(scenario.partition):
-        unsafe = cell_unsafe_overlap(cell.region, scenario.workspace)
-        bounds[cell_node(i)] = 1.0 if unsafe else 0.0
+    unsafe = unsafe_overlaps([cell.region for cell in scenario.partition], scenario.workspace)
+    bounds = {cell_node(i): 1.0 if hit else 0.0 for i, hit in enumerate(unsafe)}
     bounds[UNSAFE] = 1.0
     return bounds
 
@@ -103,7 +102,7 @@ def _tpn_value(row, bounds_k):
         return _naive_value(row, bounds_k)
     ranked = sorted(
         ((node_bound(bounds_k, e.target), e.target, e.bound) for e in row),
-        key=lambda item: (item[0], item[1]),
+        key=lambda item: (item[0], item[1].kind, item[1].cells),
     )
     n = len(ranked)
     # Largest suffix of worst-ranked targets whose edge mass still fits in 1.
@@ -142,17 +141,20 @@ def _check_merge_p(p):
 def _separation(graph, p, cells):
     """Boolean matrix ``S[a, b]``: the grown chance sets of cells a and b are disjoint.
 
-    One emptiness LP per unordered pair of ``cells`` (cell indices); rows and
-    columns of other indices, and the diagonal, stay False.
+    Decided for every unordered pair of ``cells`` (cell indices) by
+    :func:`relusafe.geometry.box_pairs`, with one emptiness LP per pair it
+    leaves undecided; rows and columns of other indices, and the diagonal,
+    stay False.
     """
     cells = sorted(cells)
     size = cells[-1] + 1 if cells else 0
     sep = np.zeros((size, size), dtype=bool)
     grown = [augmented_set(graph.regions[cell_node(c)], p, graph.sigma) for c in cells]
-    for i, a in enumerate(cells):
-        for j in range(i + 1, len(cells)):
-            b = cells[j]
-            sep[a, b] = sep[b, a] = is_empty_intersection(grown[i], grown[j])
+    disjoint, overlapping, _ = box_pairs(grown, grown)
+    disjoint = np.triu(disjoint, 1)
+    for i, j in zip(*np.nonzero(np.triu(~(disjoint | overlapping), 1))):
+        disjoint[i, j] = is_empty_intersection(grown[i], grown[j])
+    sep[np.ix_(cells, cells)] = disjoint | disjoint.T
     return sep
 
 

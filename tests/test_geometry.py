@@ -245,3 +245,144 @@ def test_unsafe_overlap_matches_sampling(demo_scenario):
 def test_halfspace_rejects_zero_normal():
     with pytest.raises(geometry.GeometryError):
         Halfspace(np.zeros(2), 1.0)
+
+
+def lp_bounding_box(poly):
+    """The support-LP bounding box, computed without the closed form."""
+    lo = np.empty(poly.dim)
+    hi = np.empty(poly.dim)
+    for d in range(poly.dim):
+        e = np.zeros(poly.dim)
+        e[d] = 1.0
+        lo[d] = poly.extreme(e, "min")
+        hi[d] = poly.extreme(e, "max")
+    return lo, hi
+
+
+def test_axis_bounds_of_boxes_and_oblique_polytopes():
+    box = Polytope.box([0.0, -1.0], [2.0, 3.0])
+    lo, hi = box.axis_bounds()
+    assert lo.tolist() == [0.0, -1.0] and hi.tolist() == [2.0, 3.0]
+    assert box.axis_bounds() is box.axis_bounds()  # memoized
+    # Redundant and scaled rows: the tightest b / a per side wins.
+    redundant = Polytope([[2.0, 0.0], [1.0, 0.0], [-4.0, 0.0], [0.0, 1.0]], [3.0, 2.0, 2.0, 5.0])
+    lo, hi = redundant.axis_bounds()
+    assert lo.tolist() == [-0.5, -math.inf] and hi.tolist() == [1.5, 5.0]
+    assert Polytope([[1.0, 1.0], [-1.0, 0.0]], [1.0, 0.0]).axis_bounds() is None
+
+
+def test_bounding_box_closed_form_equals_lp_bit_for_bit(demo_scenario, small_scenario,
+                                                        demo_graph, demo_bounds):
+    from relusafe import refine, scenario as sc
+    scenarios = [demo_scenario, small_scenario,
+                 sc.make_demo_scenario(3, [16, 16, 16], seed=0, obstacles=[((6.5, 2.5), (7.5, 3.5))]),
+                 sc.make_demo_scenario(5, [8, 8], seed=1, obstacles=[((6.5, 2.5), (7.5, 3.5))])]
+    polys = [s.workspace.domain for s in scenarios]
+    polys += [cell.region for s in scenarios for cell in s.partition]
+    # Refined halves: the pipeline's witness split and an axis-aligned cut.
+    source, edge = refine.select_target(demo_graph, demo_bounds["merge+tpn"], k=9)
+    result = refine.refine_cell(demo_scenario, demo_graph, demo_bounds["merge+tpn"],
+                                source, edge.target, steps=4)
+    polys += [result.scenario.partition[i].region for i in result.cell_map[source.cells[0]]]
+    for cell in demo_scenario.partition:
+        lo, _ = cell.region.axis_bounds()
+        polys += split(cell.region, Hyperplane(np.array([1.0, 0.0]), float(lo[0]) + 0.3))
+    axis_aligned = 0
+    for poly in polys:
+        closed = poly.bounding_box()
+        axis_aligned += poly.axis_bounds() is not None
+        for got, want in zip(closed, lp_bounding_box(poly)):
+            assert got.tobytes() == want.tobytes()
+    assert axis_aligned >= len(polys) - 2
+
+
+def interval_verdict(p1, p2):
+    """The :func:`box_pairs` verdict: "empty", "nonempty" or None (undecided)."""
+    disjoint, overlapping, _ = geometry.box_pairs([p1], [p2])
+    return "empty" if disjoint[0, 0] else "nonempty" if overlapping[0, 0] else None
+
+
+@pytest.mark.parametrize("shift, decided", [
+    (0.0, False),                          # touching faces
+    (0.5 * geometry.BOX_BAND, False),      # gaps inside the band
+    (2.0 * geometry.BOX_BAND, True),
+    (-0.5 * geometry.BOX_BAND, False),     # overlaps inside the band
+    (-2.0 * geometry.BOX_BAND, True),
+    (geometry.STRICT_MARGIN, True),
+])
+def test_box_pairs_agree_with_lp_on_adversarial_boxes(shift, decided):
+    left = Polytope.box([0.0, 0.0], [1.0, 1.0])
+    right = Polytope.box([1.0 + shift, 0.5], [2.0, 3.0])
+    half = Polytope([[-1.0, 0.0]], [-(1.0 + shift)])  # x >= 1 + shift, unbounded
+    for a, b in ((left, right), (right, left), (left, half), (half, left)):
+        verdict = interval_verdict(a, b)
+        assert (verdict is not None) == decided
+        if decided:
+            assert (verdict == "empty") == is_empty_intersection(a, b)
+            assert (verdict == "empty") == (shift > 0.0)
+
+
+def test_box_pairs_leave_non_box_pairs_undecided():
+    box = Polytope.box([0.0, 0.0], [1.0, 1.0])
+    far = Polytope([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [30.0, -10.0, -10.0])
+    disjoint, overlapping, widths = geometry.box_pairs([box, far], [box, far])
+    assert disjoint.tolist() == [[False, False], [False, False]]
+    assert overlapping.tolist() == [[True, False], [False, False]]
+    assert widths.shape == (2, 2, 2)
+    assert geometry.box_pairs([], [])[0].shape == (0, 0)
+
+
+def test_domain_edge_decided_by_intervals(demo_scenario):
+    """A cell tiling the domain edge is STRICT_MARGIN away from the domain's
+    margin-shifted outside: decided disjoint without an LP."""
+    dom = demo_scenario.workspace.domain
+    regions = [cell.region for cell in demo_scenario.partition]
+    outsides = geometry.outside_facets(dom, geometry.STRICT_MARGIN)
+    disjoint, _, widths = geometry.box_pairs(regions, outsides)
+    assert disjoint.all()
+    touching = np.isclose(widths.min(axis=2), -geometry.STRICT_MARGIN, rtol=0.0, atol=1e-12)
+    assert touching.sum() == 4 * 5  # five cells along each of the four edges
+
+
+@pytest.mark.parametrize("workload", ["demo5", "deep3", "small"])
+def test_every_pipeline_interval_verdict_equals_lp(workload, request, monkeypatch):
+    """Spy on every :func:`box_pairs` call of a scenario → verify → refine →
+    verify pipeline: each pair it decides must get the LP's verdict."""
+    from relusafe import graph as gr
+    from relusafe import refine, scenario as sc, verifier
+    calls = []
+    real = geometry.box_pairs
+
+    def spy(polys1, polys2):
+        out = real(polys1, polys2)
+        calls.append((list(polys1), list(polys2), out[0], out[1]))
+        return out
+
+    for module in (geometry, sc, verifier):
+        monkeypatch.setattr(module, "box_pairs", spy)
+    obstacle = [((6.5, 2.5), (7.5, 3.5))]
+    if workload == "demo5":
+        scenario = sc.make_demo_scenario(5, [8, 8], seed=0, obstacles=obstacle)
+        graph = request.getfixturevalue("demo_graph")
+    elif workload == "deep3":
+        scenario = sc.make_demo_scenario(3, [16, 16, 16], seed=0, obstacles=obstacle)
+        graph = gr.build_graph(scenario, 0.01)
+    else:
+        scenario = sc.make_demo_scenario(3, [6, 4], seed=2, obstacles=[((5.9, 1.9), (7.8, 3.4))])
+        graph = request.getfixturevalue("small_graph")
+    bounds = verifier.verify(graph, scenario, 3, 0.01, mode="merge+tpn")
+    source, edge = refine.select_target(graph, bounds, k=3)
+    result = refine.refine_cell(scenario, graph, bounds, source, edge.target, steps=2)
+    verifier.verify(result.graph, result.scenario, 3, 0.01, mode="merge+tpn")
+
+    checked = undecided = 0
+    for polys1, polys2, disjoint, overlapping in calls:
+        for i, p in enumerate(polys1):
+            for j, q in enumerate(polys2):
+                if not (disjoint[i, j] or overlapping[i, j]):
+                    undecided += 1
+                    continue
+                assert p.axis_bounds() is not None and q.axis_bounds() is not None
+                assert disjoint[i, j] == is_empty_intersection(p, q)
+                checked += 1
+    assert checked > undecided > 0

@@ -273,3 +273,67 @@ def test_roundtrip_preserves_hash(demo_scenario):
     text = sc.dump_scenario(demo_scenario)
     again = sc.load_scenario(text)
     assert sc.scenario_sha256(again) == sc.scenario_sha256(demo_scenario)
+
+
+def first_match_reference(scenario, points):
+    """Per-cell first-match lookup through :meth:`Polytope.contains_many`."""
+    idx = np.full(len(points), -1, dtype=int)
+    for k in range(scenario.num_cells - 1, -1, -1):
+        idx[scenario.partition[k].region.contains_many(points)] = k
+    return idx
+
+
+def lookup_points(rng):
+    """Random points over and around the domain, and points within 2e-9 of
+    every grid face of the 5x5 demo partition."""
+    faces = np.arange(0.0, 10.01, 2.0)
+    jitter = np.array([-2e-9, -1e-9, 0.0, 1e-9, 2e-9])
+    on_faces = (faces[:, None] + jitter).ravel()
+    free = rng.uniform(-1.0, 11.0, size=len(on_faces))
+    return np.vstack([rng.uniform(-1.0, 11.0, size=(3000, 2)),
+                      np.column_stack([on_faces, free]),
+                      np.column_stack([free, on_faces]),
+                      np.stack(np.meshgrid(on_faces, on_faces), axis=-1).reshape(-1, 2)])
+
+
+def test_cell_index_many_stacked_matches_first_match(demo_scenario, rng, monkeypatch):
+    points = lookup_points(rng)
+    want = first_match_reference(demo_scenario, points)
+    calls = []
+    real = Polytope.contains_many
+    monkeypatch.setattr(Polytope, "contains_many",
+                        lambda self, *a, **k: calls.append(self) or real(self, *a, **k))
+    got = demo_scenario.cell_index_many(points)
+    assert not calls  # one shared halfspace matrix: the stacked path
+    assert got.tolist() == want.tolist()
+    assert (got == -1).any() and (got >= 0).any()
+
+
+def test_cell_index_many_mixed_matrices_fall_back(demo_scenario, rng, monkeypatch):
+    cells = list(demo_scenario.partition)
+    first = cells[0]
+    cells[0] = sc.PartitionCell(id=first.id, region=first.region.with_extra([1.0, 1.0], 5.0),
+                                C=first.C, c=first.c)
+    mixed = sc.Scenario(dynamics=demo_scenario.dynamics, controller=demo_scenario.controller,
+                        workspace=demo_scenario.workspace, partition=tuple(cells))
+    points = lookup_points(rng)
+    want = first_match_reference(mixed, points)
+    calls = []
+    real = Polytope.contains_many
+    monkeypatch.setattr(Polytope, "contains_many",
+                        lambda self, *a, **k: calls.append(self) or real(self, *a, **k))
+    assert mixed.cell_index_many(points).tolist() == want.tolist()
+    assert calls  # the per-cell loop
+
+
+def test_thin_hole_between_grid_samples_rejected(demo_scenario):
+    """Cell 0 shrunk to [0, 1.95] x [0, 2] leaves a 0.05-wide hole that no
+    point of the 40-per-axis coverage grid hits; the volume bound finds it."""
+    cells = list(demo_scenario.partition)
+    first = cells[0]
+    cells[0] = sc.PartitionCell(id=first.id, region=Polytope.box([0.0, 0.0], [1.95, 2.0]),
+                                C=first.C, c=first.c)
+    holed = sc.Scenario(dynamics=demo_scenario.dynamics, controller=demo_scenario.controller,
+                        workspace=demo_scenario.workspace, partition=tuple(cells))
+    with pytest.raises(sc.ScenarioError, match="does not cover the domain"):
+        sc.validate_scenario(holed)
