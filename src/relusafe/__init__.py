@@ -15,7 +15,7 @@ from .graph import (UNSAFE, CellReach, Edge, NodeId, TransitionGraph,
                     build_graph, cell_node, estimate_bound, estimate_edge,
                     load_graph, merged_node, prune_test, save_graph, sink_edge,
                     source_row)
-from .linprog import LinearProgram, check_certificate, minimal_infeasible_subset
+from .linprog import LinearProgram, check_certificate
 from .montecarlo import (McEstimate, MonteCarloError, Trajectory,
                          estimate_transition, estimate_true_pk,
                          estimate_true_pk_curve, simulate)

@@ -215,7 +215,7 @@ def _grid_bracket(reach, region, dq):
     """
     scenario, cell = reach.scenario, reach.cell
     sigma = scenario.dynamics.sigma
-    z_star = smc.max_slack(reach.pieces, region, sigma)
+    z_star = smc.max_slack(reach.pieces, region, sigma)[0]
     tol = smc.slack_tolerance(region, sigma)
     problem = None
     q_lo, q_hi = 0.0, 1.0

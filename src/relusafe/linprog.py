@@ -65,8 +65,8 @@ class LinearProgram:
         Each row must be ``(a, rel, b, label)`` as :meth:`add` stores it: a
         float array of length ``num_vars``, a valid relation, a float ``b``
         and a label unique among ``rows``.  Callers that assemble rows from
-        checked parts (the reach-query encoding, sub-systems of an existing
-        LP) use this to skip :meth:`add`'s validation.
+        checked parts (the reach-query encoding, polytopes, affine pieces)
+        use this to skip :meth:`add`'s validation.
         """
         return cls(num_vars, list(rows), objective)
 
@@ -90,11 +90,6 @@ class LinearProgram:
         if cost.shape != (self.num_vars,):
             raise ValueError("objective dimension mismatch")
         self.objective = (direction, cost)
-
-    def restricted_to(self, labels):
-        """Feasibility-only copy containing just the rows with the given labels."""
-        keep = set(labels)
-        return LinearProgram.from_rows(self.num_vars, [r for r in self.rows if r[3] in keep])
 
 
 @dataclass(frozen=True)
@@ -274,24 +269,6 @@ def solve(lp, max_iters=None):
     if worst > EPS_FEAS:
         raise LpNumericalError(f"feasible point violates a row by {worst:.3e}")
     return Feasible(point, objective_value)
-
-
-def minimal_infeasible_subset(lp, certificate):
-    """Irreducible infeasible constraint set, by deletion filtering.
-
-    Seeds with the labels carrying nonzero certificate multipliers (in row
-    order), then drops every label whose removal leaves the rest infeasible.
-    Removing any returned label makes the remainder feasible.
-    """
-    seeded = {e.label for e in certificate if e.weight > 0.0}
-    core = [r[3] for r in lp.rows if r[3] in seeded]
-    for label in list(core):
-        trial = [x for x in core if x != label]
-        if not trial:
-            continue
-        if isinstance(solve(lp.restricted_to(trial)), Infeasible):
-            core = trial
-    return core
 
 
 def _max_violation(A, b, x):

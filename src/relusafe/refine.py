@@ -1,10 +1,12 @@
 """Witness-driven cell splitting to tighten transition bounds.
 
 A high transition bound is pinned to the worst-case states of the source
-cell: the satisfying states of the reach query at the last satisfiable
-threshold.  Splitting the cell by a hyperplane perpendicular to the witness
-motion, translated away from the witness, isolates those states in one
-sub-cell so the other's bound drops.  The split is exact, so the partition
+cell: those whose successor lies deepest in the target's chance set.  The
+witness is the one the affine pieces give (:func:`relusafe.smc.max_slack`),
+the state whose successor reaches the largest noise-normalised slack ``z*``
+over all pieces.  Splitting the cell by a hyperplane perpendicular to the
+witness motion, translated away from the witness, isolates those states in
+one sub-cell so the other's bound drops.  The split is exact, so the partition
 stays valid; every edge touching the split cell is re-estimated, which keeps
 the refined graph sound regardless of how well the hyperplane was chosen.
 """
@@ -15,12 +17,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import (DegenerateSplitError, Hyperplane, augmented_set,
-                       chebyshev_center, split)
+from .geometry import (DegenerateSplitError, Hyperplane, chebyshev_center,
+                       gaussian_quantile, split)
 from .graph import (UNSAFE, CellReach, Edge, TransitionGraph, cell_node, estimate_edge,
                     sink_edge, source_row)
 from .scenario import PartitionCell, Scenario, scenario_sha256
-from .smc import build_encoding, center_witness, solve
+from .smc import max_slack, slack_tolerance
 
 
 class RefinementError(Exception):
@@ -28,7 +30,8 @@ class RefinementError(Exception):
 
 
 class StaleGraphError(RefinementError):
-    """The graph no longer matches the scenario: the witness replay failed."""
+    """The graph no longer matches the scenario: no state of the source cell
+    reaches the edge's last satisfiable threshold."""
 
 
 class StationaryWitnessError(RefinementError):
@@ -61,17 +64,19 @@ class RefinementResult:
 
 
 def find_witness(scenario, graph, source, target):
-    """Re-solve the edge's last satisfiable query and return (X, X_next).
+    """The state of ``source`` whose successor lies deepest in ``target``,
+    as ``(X, X_next)``.
 
-    The query's sat outcome carries the audited leaf vertex, which may sit
-    on the target's boundary; this function centers it
-    (:func:`relusafe.smc.center_witness`), so the returned successor lies
-    as deep inside the target's chance set as the leaf's activation pattern
-    allows.  For sink edges the dominant unsafe piece is used.  Raises
-    :class:`StaleGraphError` when the recorded threshold is no longer
-    satisfiable (the graph predates a scenario change) and
-    :class:`RefinementError` for edges at the precision floor, which never
-    had a satisfiable query to replay.
+    ``X`` is the state whose successor ``X_next`` reaches ``z*``, the
+    largest noise-normalised slack in the target region over all of the
+    source cell's affine pieces (:func:`relusafe.smc.max_slack`); the slack
+    against the augmented set at any threshold differs by a constant, so
+    the same state is the deepest there.  For sink edges the dominant
+    unsafe piece is used.  Raises :class:`StaleGraphError` when ``z*``
+    falls short of the edge's last satisfiable threshold (the graph
+    predates a scenario change), and :class:`RefinementError` for edges at
+    the precision floor, which never had a satisfiable threshold, or when
+    the slack LP fails numerically.
     """
     edge = graph.edge(source, target)
     if edge is None:
@@ -88,13 +93,13 @@ def find_witness(scenario, graph, source, target):
         q = edge.q_lo if edge.q_lo > 0.0 else edge.bound - graph.dq
     if q <= 0.0:
         raise RefinementError(f"edge {source} -> {target} sits at the precision floor")
-    problem = build_encoding(scenario, cell,
-                             augmented_set(region, q, scenario.dynamics.sigma))
-    out = solve(problem)
-    if out.status != "sat":
+    sigma = scenario.dynamics.sigma
+    z_star, x, x_next = max_slack(CellReach(scenario, cell).pieces, region, sigma)
+    if z_star == np.inf:
+        raise RefinementError(f"edge {source} -> {target}: slack LP failed numerically")
+    if z_star < gaussian_quantile(q) - slack_tolerance(region, sigma):
         raise StaleGraphError(f"edge {source} -> {target}: no witness at q={q}")
-    out = center_witness(problem, out)
-    return out.witness_x, out.witness_x_next
+    return x, x_next
 
 
 def propose_hyperplane(x, x_next):

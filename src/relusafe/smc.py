@@ -22,7 +22,9 @@ pre-activation is affine in the state.  For a target polytope,
 :func:`max_slack` returns ``z*``, the largest minimum noise-normalised
 target slack any piece reaches, from one ``(n+1)``-variable LP per piece.
 The query against the target's augmented set at threshold ``q`` is
-satisfiable exactly when ``z* >= gaussian_quantile(q)``.
+satisfiable exactly when ``z* >= gaussian_quantile(q)``.  The argmax
+piece's LP point is the state whose successor reaches ``z*``: the witness
+refinement splits around.
 
 The reference oracle (:func:`solve`).  It keeps the source membership,
 target membership, mean dynamics and the per-layer affine links as linear
@@ -31,11 +33,11 @@ neuron, and decides the query by DPLL over the neuron booleans.  The
 measurement vector is affine in the state on each cell and is substituted
 away rather than kept as variables.  Unassigned neurons are relaxed to
 ``h >= 0, h >= t`` (which both branches imply, so pruning never removes a
-satisfiable completion); an infeasible LP prunes the subtree and learns a
-conflict clause from the rows of its Farkas certificate that are linked to
-branch literals.  Its feasible leaves are the affine pieces above; it
-decides thresholds that fall within numerical tolerance of ``z*``, replays
-brackets, and yields the witnesses refinement splits around.
+satisfiable completion); an infeasible LP prunes the subtree and learns, as
+a conflict clause, the negation of the branch literals whose rows carry
+weight in its Farkas certificate.  Its feasible leaves are the affine
+pieces above; it decides thresholds that fall within numerical tolerance
+of ``z*`` and replays brackets.
 """
 
 from __future__ import annotations
@@ -340,8 +342,7 @@ def solve(problem, node_budget=DEFAULT_NODE_BUDGET, presolve=True):
 
     A sat outcome carries the satisfied leaf LP's vertex, audited by
     replaying it through the network.  That vertex may sit on the target's
-    boundary; moving it toward the middle of the target is refinement's job
-    (:func:`center_witness`), since the verdict alone decides every bound.
+    boundary; the deepest successor comes from :func:`max_slack`.
     """
     N = problem.num_neurons
     clauses = []
@@ -389,10 +390,6 @@ def solve(problem, node_budget=DEFAULT_NODE_BUDGET, presolve=True):
         res = linprog.solve(lp)
         if isinstance(res, linprog.Infeasible):
             lits = _literals_of_certificate(res.certificate)
-            if len(lits) > 8:
-                core = linprog.minimal_infeasible_subset(lp, res.certificate)
-                lits = {(lab[1], _BRANCH_TAGS[lab[0]]) for lab in core
-                        if isinstance(lab, tuple) and lab[0] in _BRANCH_TAGS}
             clause = frozenset((j, not val) for (j, val) in lits)
             clauses.append(clause)
             return None
@@ -415,47 +412,6 @@ def solve(problem, node_budget=DEFAULT_NODE_BUDGET, presolve=True):
     if out is None:
         return SmcOutcome("unsat", lp_calls=stats["lp"], nodes=stats["nodes"])
     return out
-
-
-def center_witness(problem, outcome):
-    """The sat ``outcome`` with its witness pushed toward the target's middle.
-
-    Re-solves the leaf LP of ``outcome.pattern`` maximizing the minimum
-    noise-scaled slack of the target rows.  The leaf point is already
-    feasible, so this can only move the witness deeper into the chance set,
-    which makes it a better stand-in for the worst-case transition state
-    that the refinement step splits around.  Capped so halfspace targets
-    stay bounded.  The centered point passes the same audit as the leaf
-    point; if the LP or that audit fails numerically, the audited leaf
-    witness is returned unchanged.
-    """
-    sigma = problem.scenario.dynamics.sigma
-    nv = problem.num_vars
-    assign = {j: bool(v) for j, v in enumerate(outcome.pattern)}
-    rows = []
-    for a, rel, b, label in (list(problem.base_rows) + list(problem.target_rows)):
-        if isinstance(label, tuple) and label[0] == "tgt":
-            spread = max(float(np.sqrt((a[problem.xnext] ** 2) @ (sigma ** 2))), 1e-12)
-            a = np.append(a, spread)
-        else:
-            a = np.append(a, 0.0)
-        rows.append((a, rel, b, label))
-    for j in range(problem.num_neurons):
-        for a, rel, b, label in problem.branch_rows(j, assign[j]):
-            rows.append((np.append(a, 0.0), rel, b, label))
-    cap = np.zeros(nv + 1)
-    cap[nv] = 1.0
-    rows.append((cap, "<=", SLACK_CAP, ("slack_cap",)))
-    rows.append((-cap, "<=", 0.0, ("slack_pos",)))
-    lp = linprog.LinearProgram.from_rows(nv + 1, rows, objective=("max", cap.copy()))
-    try:
-        res = linprog.solve(lp)
-        if isinstance(res, linprog.Feasible):
-            return _make_witness(problem, res.point[:nv], assign,
-                                 outcome.lp_calls + 1, outcome.nodes)
-    except (linprog.LpNumericalError, SmcNumericalError):
-        pass
-    return outcome
 
 
 def _make_witness(problem, point, assign, lp_calls, nodes):
@@ -584,16 +540,19 @@ def _row_spreads(target, sigma):
 
 
 def max_slack(pieces, target, sigma):
-    """``z*``: the largest minimum noise-normalised slack of ``target`` that
-    a successor ``M x + m`` of some piece reaches.
+    """``(z*, x, x')``: the largest minimum noise-normalised slack ``z*`` of
+    ``target`` that a successor ``M x + m`` of some piece reaches, the state
+    ``x`` that reaches it and its successor ``x' = M x + m``.
 
     Per piece, one LP in ``(x, s)`` maximises ``s`` subject to ``x`` in the
     piece and ``A_t (M x + m) + s * spread <= b_t``, with ``s`` capped at
-    ``SLACK_CAP``.  Returns -inf when no piece is feasible and +inf when an
-    LP fails numerically, so a failure can only loosen a bound.
+    ``SLACK_CAP``; ``x`` is the LP point of the argmax piece.  Returns
+    ``(-inf, None, None)`` when no piece is feasible and ``(+inf, None,
+    None)`` when an LP fails numerically, so a failure can only loosen a
+    bound.
     """
     spread = _row_spreads(target, sigma)
-    best = -np.inf
+    best = (-np.inf, None, None)
     for piece in pieces:
         n = piece.M.shape[1]
         rows = [(np.append(piece.A[k], 0.0), "<=", float(piece.b[k]), ("piece", k))
@@ -609,9 +568,10 @@ def max_slack(pieces, target, sigma):
         try:
             res = linprog.solve(lp)
         except linprog.LpNumericalError:
-            return np.inf
-        if isinstance(res, linprog.Feasible):
-            best = max(best, res.objective_value)
+            return np.inf, None, None
+        if isinstance(res, linprog.Feasible) and res.objective_value > best[0]:
+            x = res.point[:n]
+            best = (res.objective_value, x, piece.M @ x + piece.m)
     return best
 
 

@@ -29,7 +29,7 @@ def test_bisection_trace_always_unsat(small_scenario, monkeypatch):
         return true_quantile(q)
 
     monkeypatch.setattr(gr, "gaussian_quantile", spy)
-    monkeypatch.setattr(smc, "max_slack", lambda *a: -np.inf)
+    monkeypatch.setattr(smc, "max_slack", lambda *a: (-np.inf, None, None))
     cell = small_scenario.partition[0]
     bound = gr.estimate_bound(small_scenario, cell, small_scenario.partition[1], 0.1)
     assert seen == [0.5, 0.25, 0.125, 0.0625]
@@ -37,7 +37,7 @@ def test_bisection_trace_always_unsat(small_scenario, monkeypatch):
 
 
 def test_bisection_always_sat(small_scenario, monkeypatch):
-    monkeypatch.setattr(smc, "max_slack", lambda *a: np.inf)
+    monkeypatch.setattr(smc, "max_slack", lambda *a: (np.inf, None, None))
     cell = small_scenario.partition[0]
     bound = gr.estimate_bound(small_scenario, cell, small_scenario.partition[1], 0.1)
     assert bound == 1.0
@@ -121,11 +121,11 @@ def test_tie_is_decided_by_the_oracle(small_scenario, monkeypatch):
     sigma = small_scenario.dynamics.sigma
     region = small_scenario.partition[5].region
     reach = gr.CellReach(small_scenario, cell)
-    z_star = smc.max_slack(reach.pieces, region, sigma)
+    z_star = smc.max_slack(reach.pieces, region, sigma)[0]
     assert np.isfinite(z_star)
     spread = np.sqrt((region.A ** 2) @ (sigma ** 2))
     tied = Polytope(region.A, region.b - z_star * spread)
-    assert abs(smc.max_slack(reach.pieces, tied, sigma) - gr.gaussian_quantile(0.5)) \
+    assert abs(smc.max_slack(reach.pieces, tied, sigma)[0] - gr.gaussian_quantile(0.5)) \
         <= smc.slack_tolerance(tied, sigma)
 
     asked = []

@@ -138,48 +138,6 @@ def test_adding_satisfied_constraint_keeps_feasibility(rng):
         assert isinstance(linprog.solve(lp), linprog.Feasible)
 
 
-def test_minimal_subset_drops_irrelevant_row():
-    lp = linprog.LinearProgram(2)
-    lp.add([1.0, 0.0], ">=", 1.0, "xe_ge")
-    lp.add([1.0, 0.0], "<=", 0.0, "x_le")
-    lp.add([0.0, 1.0], "<=", 5.0, "y_le")
-    res = linprog.solve(lp)
-    assert isinstance(res, linprog.Infeasible)
-    core = linprog.minimal_infeasible_subset(lp, res.certificate)
-    assert sorted(core) == ["x_le", "xe_ge"]
-
-
-def test_minimal_subset_keeps_irreducible_pair():
-    lp = linprog.LinearProgram(1)
-    lp.add([1.0], ">=", 1.0, "a")
-    lp.add([1.0], "<=", 0.0, "b")
-    res = linprog.solve(lp)
-    core = linprog.minimal_infeasible_subset(lp, res.certificate)
-    assert sorted(core) == ["a", "b"]
-
-
-def test_minimal_subset_is_irreducible(rng):
-    """Removing any row of the reported subset must restore feasibility."""
-    found = 0
-    while found < 15:
-        n = int(rng.integers(1, 4))
-        m = int(rng.integers(4, 12))
-        A = rng.normal(size=(m, n))
-        b = rng.normal(size=m) - 1.5
-        lp = lp_from_rows(A, b)
-        res = linprog.solve(lp)
-        if not isinstance(res, linprog.Infeasible):
-            continue
-        found += 1
-        core = linprog.minimal_infeasible_subset(lp, res.certificate)
-        assert isinstance(linprog.solve(lp.restricted_to(core)), linprog.Infeasible)
-        for dropped in core:
-            rest = [c for c in core if c != dropped]
-            if rest:
-                sub = linprog.solve(lp.restricted_to(rest))
-                assert isinstance(sub, linprog.Feasible)
-
-
 def test_duplicate_label_rejected():
     lp = linprog.LinearProgram(1)
     lp.add([1.0], "<=", 1.0, "same")

@@ -1,10 +1,13 @@
 """Refinement: witness extraction, hyperplane construction, the split
 transaction, and target selection."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from relusafe import graph as gr
+from relusafe import linprog
 from relusafe import montecarlo as mc
 from relusafe import refine as rf
 from relusafe import scenario as sc
@@ -19,6 +22,101 @@ def refinable(small_scenario, small_graph):
     bounds = vf.verify(small_graph, small_scenario, horizon=4, p=0.05,
                        mode="merge+tpn")
     return small_scenario, small_graph, bounds
+
+
+def witnessed_edges(scenario, graph, sources):
+    """``(source, edge, region, witness)`` for every edge out of ``sources``
+    that has a witness; the sink edge's region is its dominant piece."""
+    for source in sources:
+        for edge in graph.edges[source]:
+            try:
+                witness = rf.find_witness(scenario, graph, source, edge.target)
+            except rf.RefinementError as exc:
+                assert not isinstance(exc, rf.StaleGraphError)
+                assert "precision floor" in str(exc)
+                continue
+            if edge.target == gr.UNSAFE:
+                region = max(edge.pieces, key=lambda rec: rec[1])[0]
+            else:
+                region = scenario.partition[edge.target.cells[0]].region
+            yield source, edge, region, witness
+
+
+def test_find_witness_asks_no_oracle(refinable, monkeypatch):
+    """The witness comes from the affine pieces: neither the reach-query
+    encoding nor its DPLL oracle is called, from any module."""
+    scenario, graph, _ = refinable
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    oracle = {smc.solve: "solve", smc.build_encoding: "build_encoding"}
+    for module in (smc, rf):
+        for attr, value in list(vars(module).items()):
+            if callable(value) and value in oracle:
+                monkeypatch.setattr(module, attr, spy(oracle[value], value))
+    found = list(witnessed_edges(scenario, graph, graph.cell_nodes()))
+    assert any(edge.target == gr.UNSAFE for _, edge, _, _ in found)
+    assert sum(edge.target != gr.UNSAFE for _, edge, _, _ in found) >= 5
+    assert calls == []
+
+
+def test_find_witness_reads_the_argmax_piece(demo_scenario, demo_graph):
+    """On every witnessable cell and sink edge of the first four demo rows,
+    the witness lies in the source cell, its successor is the closed loop's,
+    and that successor's noise-normalised depth in the target is ``z*``."""
+    sigma = demo_scenario.dynamics.sigma
+    seen = 0
+    for source, edge, region, (x, x_next) in witnessed_edges(
+            demo_scenario, demo_graph, demo_graph.cell_nodes()[:4]):
+        cell = demo_scenario.partition[source.cells[0]]
+        assert cell.region.contains(x, tol=1e-7)
+        stepped = sc.closed_loop_mean_step(demo_scenario, x, cell)
+        np.testing.assert_allclose(stepped, x_next, rtol=0.0, atol=1e-9)
+        spread = np.sqrt((region.A ** 2) @ sigma ** 2)
+        depth = min(float(np.min((region.b - region.A @ x_next) / spread)), smc.SLACK_CAP)
+        z_star, _, _ = smc.max_slack(gr.CellReach(demo_scenario, cell).pieces, region, sigma)
+        assert depth == pytest.approx(z_star, rel=0.0, abs=1e-9)
+        seen += 1
+    assert seen >= 10
+
+
+def test_find_witness_raises_stale_above_the_reach(demo_scenario, demo_graph):
+    """An edge whose satisfiable threshold is raised above anything the
+    source cell reaches has no witness: the graph is stale."""
+    scenario, graph = demo_scenario, demo_graph
+    source, edgerec = next((source, e) for source in graph.cell_nodes()
+                           for e in graph.edges[source]
+                           if e.method == "smc" and 0.0 < e.q_lo and e.q_hi < 1.0)
+    rf.find_witness(scenario, graph, source, edgerec.target)
+    raised = replace(edgerec, q_lo=0.5 * (edgerec.q_hi + 1.0))
+    edges = dict(graph.edges)
+    edges[source] = [raised if e is edgerec else e for e in graph.edges[source]]
+    stale = replace(graph, edges=edges)
+    with pytest.raises(rf.StaleGraphError):
+        rf.find_witness(scenario, stale, source, edgerec.target)
+
+
+def test_find_witness_reports_slack_lp_failure(refinable, monkeypatch):
+    """A numerical failure of the slack LP is a refinement error, not a
+    stale graph."""
+    scenario, graph, _ = refinable
+    source, edgerec = pick_strong_edge(graph)
+    real_solve = linprog.solve
+
+    def broken(lp, *args, **kwargs):
+        if lp.objective is not None:
+            raise linprog.LpNumericalError("injected fault")
+        return real_solve(lp, *args, **kwargs)
+
+    monkeypatch.setattr(linprog, "solve", broken)
+    with pytest.raises(rf.RefinementError) as info:
+        rf.find_witness(scenario, graph, source, edgerec.target)
+    assert not isinstance(info.value, rf.StaleGraphError)
 
 
 def test_propose_hyperplane_basic():
@@ -246,7 +344,7 @@ def test_chebyshev_radius_drops_after_split(refinable):
         assert r <= parent_radius + 1e-9
 
 
-def test_find_witness_centers_the_leaf_witness(demo_scenario, demo_graph):
+def test_find_witness_dominates_the_oracle_leaf_witness(demo_scenario, demo_graph):
     """find_witness returns a successor at least as deep in the target's
     chance set, in noise-normalized slack, as the leaf witness of the same
     query, and deeper on some edge."""

@@ -148,7 +148,7 @@ def test_affine_pieces_agree_with_network_and_oracle(seed):
             assert len(home) == 1
             np.testing.assert_allclose(home[0].M @ x + home[0].m,
                                        dyn.A @ x + dyn.B @ u, atol=1e-9)
-        z_star = smc.max_slack(pieces, aug, dyn.sigma)
+        z_star = smc.max_slack(pieces, aug, dyn.sigma)[0]
         if abs(z_star) > smc.slack_tolerance(aug, dyn.sigma):
             decided += 1
             verdict = smc.solve(smc.build_encoding(scenario, cell, aug))
@@ -286,20 +286,6 @@ def test_numerical_failure_is_unknown_and_conservative(small_scenario, monkeypat
             assert all(got >= want for got, want in zip(out[:3], clean[:3]))
             moved += out != clean
     assert moved or site == "witness"
-
-
-def test_center_witness_keeps_leaf_witness_on_numerical_failure(small_scenario, monkeypatch):
-    cell = small_scenario.partition[4]
-    problem = smc.build_encoding(small_scenario, cell, augmented_set(
-        cell.region, 0.5, small_scenario.dynamics.sigma))
-    leaf = smc.solve(problem)
-    assert leaf.status == "sat"
-
-    def broken(lp):
-        raise linprog.LpNumericalError("injected fault")
-
-    monkeypatch.setattr(linprog, "solve", broken)
-    assert smc.center_witness(problem, leaf) is leaf
 
 
 def test_dump_names_all_neurons(demo_scenario):
