@@ -11,11 +11,13 @@ from its bounding box), so the binomial standard deviation reported with
 each estimate is the estimator's true sampling error.
 
 Randomness comes from counter-based Philox streams keyed ``(seed, index)``
-(:func:`stream`): index 0 drives the initial-state sampler, index ``1 + i``
-drives trajectory ``i``, which draws its whole noise sequence as one
-``(k, n)`` standard-normal block.  Streams are independent across
-trajectories and reproducible from the seed alone, and a shorter horizon
-sees a prefix of the same noise.
+(:func:`stream`).  Index 0 drives the initial-state sampler.  A batch of
+``N`` trajectories over ``k`` steps draws all of its noise from the one
+stream ``(seed, base_index)`` as a time-major ``(k, N, n)`` standard-normal
+block, and step ``t`` adds row ``t``.  The noise is iid, independent of the
+sampler's stream, reproducible from the seed alone, and a shorter horizon
+reads a prefix of the same draw.  A single rollout with ``index`` is a
+batch of one drawn from stream ``(seed, 1 + index)``.
 """
 
 from __future__ import annotations
@@ -67,26 +69,6 @@ def stream(seed, index):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _stream_normals(seed, first_index, count, shape):
-    """``stream(seed, first_index + i).normal(size=shape)`` for each ``i < count``.
-
-    Builds one generator and re-keys it per stream: a freshly keyed Philox
-    is its key with a zero counter and an empty output buffer, so restoring
-    that state with the next key reproduces :func:`stream` bit for bit
-    without constructing a bit generator per stream.
-    """
-    gen = stream(seed, first_index)
-    bitgen = gen.bit_generator
-    fresh = bitgen.state
-    key = fresh["state"]["key"]
-    out = np.empty((count,) + tuple(shape))
-    for i in range(count):
-        key[1] = (first_index + i) & _MASK64
-        bitgen.state = fresh
-        out[i] = gen.normal(size=shape)
-    return out
-
-
 def _unsafe_mask(scenario, points, cell_idx):
     ws = scenario.workspace
     bad = cell_idx < 0
@@ -100,16 +82,18 @@ def simulate_batch(scenario, x0s, k, seed, base_index=1):
     """Roll out many trajectories at once; returns (states, first_hit).
 
     ``states`` is (N, k+1, n); ``first_hit`` holds the first unsafe step per
-    trajectory (k+1 when never unsafe).  Trajectory ``i`` consumes exactly
-    the stream ``(seed, base_index + i)`` that :func:`simulate` uses, drawn
-    as one (k, n) block, so batched and single runs agree bit-for-bit.
+    trajectory (k+1 when never unsafe).  The noise is one draw
+    ``stream(seed, base_index).normal(size=(k, N, n)) * sigma``, and step
+    ``t`` adds its row ``t``, so a shorter horizon reads a prefix of the
+    same noise.  Trajectory ``i`` of a batch of more than one is not
+    :func:`simulate` with ``index=i``.
     """
     if k < 0:
         raise MonteCarloError(f"horizon {k} is negative")
     x0s = np.asarray(x0s, dtype=float)
     N, n = x0s.shape
     dyn = scenario.dynamics
-    noise = _stream_normals(seed, base_index, N, (k, n)) * dyn.sigma
+    noise = stream(seed, base_index).normal(size=(k, N, n)) * dyn.sigma
     Cs = np.stack([cell.C for cell in scenario.partition])
     cs = np.stack([cell.c for cell in scenario.partition])
 
@@ -127,7 +111,7 @@ def simulate_batch(scenario, x0s, k, seed, base_index=1):
             c = cell_idx[live]
             d = np.einsum("ipn,in->ip", Cs[c], x[live]) + cs[c]
             u[live] = nn_forward_batch(scenario.controller, d)
-        x_next = x @ dyn.A.T + u @ dyn.B.T + noise[:, t]
+        x_next = x @ dyn.A.T + u @ dyn.B.T + noise[t]
         x_next[~live] = x[~live]  # no measurement map: hold position
         x = x_next
         states[:, t + 1] = x
@@ -139,7 +123,11 @@ def simulate_batch(scenario, x0s, k, seed, base_index=1):
 
 
 def simulate(scenario, x0, k, seed, index=0):
-    """One exact stochastic rollout from ``x0`` over ``k`` steps."""
+    """One exact stochastic rollout from ``x0`` over ``k`` steps.
+
+    A batch of one (:func:`simulate_batch` with ``base_index = 1 + index``):
+    its noise is stream ``(seed, 1 + index)`` drawn as one ``(k, n)`` block.
+    """
     x0 = np.asarray(x0, dtype=float).reshape(1, -1)
     if not scenario.workspace.domain.contains(x0[0]):
         raise MonteCarloError(f"initial state {x0[0]} outside the domain")
@@ -195,10 +183,10 @@ def estimate_true_pk_curve(scenario, cell, k, n, seed):
     """MC estimates of reach-unsafe-within-j for every ``j = 0..k``.
 
     One set of ``n`` rollouts over horizon ``k`` serves every ``j``: the
-    starts come from stream ``(seed, 0)`` and trajectory ``i`` from stream
-    ``(seed, 1 + i)``, whose first ``j`` noise rows are exactly the noise of
-    a horizon-``j`` rollout.  So entry ``j`` equals
-    ``estimate_true_pk(scenario, cell, j, n, seed)`` bit for bit.
+    starts come from stream ``(seed, 0)`` and the noise from stream
+    ``(seed, 1)``, drawn time-major with one row per step, whose first
+    ``j`` rows are exactly the noise of a horizon-``j`` batch.  So entry ``j``
+    equals ``estimate_true_pk(scenario, cell, j, n, seed)`` bit for bit.
     """
     if n < 1:
         raise MonteCarloError("need at least one sample")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,6 +24,8 @@ from .geometry import (EPS_GEO, STRICT_MARGIN, GeometryError, Polytope, box_pair
                        is_empty_intersection, outside_facets)
 
 SCENARIO_FORMAT = "relusafe-scenario-v1"
+# Most entries of a cell lookup table (8 MB); larger partitions loop over their cells.
+_RANK_TABLE_CAP = 1 << 20
 
 
 class ScenarioError(Exception):
@@ -242,15 +245,41 @@ class Scenario:
         return self.partition[index]
 
     @cached_property
-    def _shared_halfspaces(self):
-        """``(A, offsets)`` when every cell region ``k`` is ``A x <= offsets[:, k]``,
-        else None."""
+    def _rank_table(self):
+        """``(A, thresholds, strides, table)`` for the rank-table lookup, else None.
+
+        Requires every cell region ``k`` to be ``A x <= b_k`` for one matrix
+        ``A``.  ``thresholds[r]`` holds, for the distinct values of
+        ``b_k[r]`` in ascending order, the largest ``a`` that passes the
+        membership test against each.  A point with ``a = A[r] . x`` fails
+        exactly the offsets whose threshold lies below ``a``, a prefix of
+        them, so cell ``k`` holds it in row ``r`` exactly when the rank of
+        ``b_k[r]`` is at least that count, and the first cell holding it is
+        ``table[counts @ strides]``.  None also when the table would have
+        more than ``_RANK_TABLE_CAP`` entries.
+        """
         if not self.partition:
             return None
         A = self.partition[0].region.A
         if not all(np.array_equal(cell.region.A, A) for cell in self.partition):
             return None
-        return A, np.stack([cell.region.b for cell in self.partition], axis=1)
+        b = np.stack([cell.region.b for cell in self.partition])
+        thresholds = []
+        ranks = np.empty(b.shape, dtype=int)
+        for r in range(A.shape[0]):
+            # Sorted in Python: the few offsets do not justify paging in
+            # NumPy's sort kernels, which adds a quarter megabyte of memory.
+            values = sorted(set(b[:, r].tolist()))
+            thresholds.append(np.array([_pass_threshold(v) for v in values]))
+            ranks[:, r] = np.searchsorted(values, b[:, r])
+        shape = tuple(len(t) + 1 for t in thresholds)
+        if math.prod(shape) > _RANK_TABLE_CAP:
+            return None
+        table = np.full(shape, -1, dtype=int)
+        # Each cell holds a box of count tuples; the lowest index is written last.
+        for k in range(len(b) - 1, -1, -1):
+            table[tuple(slice(0, j + 1) for j in ranks[k])] = k
+        return A, thresholds, np.array(table.strides) // table.itemsize, table.ravel()
 
     @property
     def num_cells(self):
@@ -259,28 +288,27 @@ class Scenario:
     def cell_index_many(self, points):
         """Index of the first cell containing each of the (N, n) points, -1 if none.
 
-        Membership uses the geometric tolerance, so a point on a shared face
-        belongs to the lower-indexed cell.  When every cell has the same
-        halfspace matrix (a grid of boxes), the points are multiplied by it
-        once and compared against all cells' offsets together; the
-        arithmetic is :meth:`Polytope.contains_many`'s, so the indices are
-        the per-cell loop's.
+        Membership is :meth:`Polytope.contains_many`'s test
+        ``a - b <= EPS_GEO`` per halfspace row, so a point on a shared face
+        belongs to the lower-indexed cell, and a NaN coordinate or a point
+        outside every cell gives -1.  When every cell has the same halfspace
+        matrix (a grid of boxes), the points are multiplied by it once; per
+        row, a binary search against exact per-offset thresholds of that
+        test counts the cells' distinct offsets a point fails, and a table
+        over those counts gives the first matching cell.  The indices are
+        the per-cell loop's, with temporaries of O(N x rows).  Other
+        partitions, and those whose table would be too large, loop over the
+        cells.
         """
         points = np.asarray(points, dtype=float)
-        if self._shared_halfspaces is not None:
-            A, offsets = self._shared_halfspaces
+        if self._rank_table is not None:
+            A, thresholds, strides, table = self._rank_table
             products = points @ A.T
-            idx = np.empty(len(points), dtype=int)
-            # Blocks of at most 4096 point-cell pairs keep every temporary
-            # at 32 KB, so the lookup does not raise the peak memory.
-            step = max(1, 4096 // self.num_cells)
-            for start in range(0, len(points), step):
-                block = products[start:start + step]
-                inside = np.ones((len(block), self.num_cells), dtype=bool)
-                for r in range(A.shape[0]):
-                    inside &= block[:, r, None] - offsets[r] <= EPS_GEO
-                idx[start:start + step] = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
-            return idx
+            flat = np.zeros(len(points), dtype=int)
+            for r, t in enumerate(thresholds):
+                # Offsets whose threshold lies below the point fail it; NaN fails all.
+                flat += np.searchsorted(t, products[:, r]) * strides[r]
+            return table[flat]
         idx = np.full(len(points), -1, dtype=int)
         rest = np.arange(len(points))
         for k, cell in enumerate(self.partition):
@@ -290,6 +318,22 @@ class Scenario:
             if not len(rest):
                 break
         return idx
+
+
+def _pass_threshold(u):
+    """Largest ``a`` with ``a - u <= EPS_GEO`` in floating point.
+
+    ``a - u`` rounds monotonically in ``a``, so the test holds exactly for
+    ``a`` up to the threshold and fails above it (and for NaN).  Rounding
+    puts ``u + EPS_GEO`` next to the threshold, and the test itself moves
+    it onto the exact boundary.
+    """
+    t = u + EPS_GEO
+    while t - u > EPS_GEO:
+        t = math.nextafter(t, -math.inf)
+    while math.nextafter(t, math.inf) - u <= EPS_GEO:
+        t = math.nextafter(t, math.inf)
+    return t
 
 
 def closed_loop_mean_step(scenario, X, cell, tol=1e-7):

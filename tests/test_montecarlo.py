@@ -77,12 +77,13 @@ def test_streams_uncorrelated():
     assert abs(corr) < 0.01
 
 
-def test_batch_matches_single(demo_scenario):
+def test_single_rollout_is_a_batch_of_one(demo_scenario):
     x0s = np.array([[1.0, 1.0], [5.0, 5.0], [8.5, 3.5]])
-    states, hits = mc.simulate_batch(demo_scenario, x0s, 6, seed=21)
     for i in range(3):
         solo = mc.simulate(demo_scenario, x0s[i], 6, seed=21, index=i)
-        assert np.array_equal(solo.states, states[i])
+        states, _ = mc.simulate_batch(demo_scenario, x0s[i:i + 1], 6, seed=21,
+                                      base_index=1 + i)
+        assert np.array_equal(solo.states, states[0])
 
 
 def test_estimate_k0_safe_cell(demo_scenario):
@@ -166,23 +167,46 @@ def test_sampler_rejects_unsamplable(poly):
         mc.sample_in_polytope(poly, 10, mc.stream(0, 0))
 
 
-def test_noise_contract_against_stream():
-    """Trajectory i of a batch adds stream(seed, base_index + i) noise,
-    drawn as one (k, n) block and scaled by sigma."""
+def free_scenario():
+    """Identity dynamics, no control, a domain nothing leaves: each step adds
+    exactly its noise."""
     layers = ((np.zeros((1, 2)), np.zeros(1)), (np.zeros((2, 1)), np.zeros(2)))
     big = Polytope.box([-1e3, -1e3], [1e3, 1e3])
-    free = sc.Scenario(
+    return sc.Scenario(
         dynamics=sc.SystemDynamics(A=np.eye(2), B=np.zeros((2, 2)),
                                    sigma=np.array([0.3, 0.7])),
         controller=sc.ReluNetwork(layers=layers, input_dim=2),
         workspace=sc.Workspace(domain=big, obstacles=(), position_projection=(0, 1)),
         partition=(sc.PartitionCell(id="all", region=big, C=np.eye(2), c=np.zeros(2)),))
+
+
+def test_noise_contract_is_one_time_major_draw():
+    """A batch adds stream(seed, base_index) drawn as one (k, N, n) block,
+    scaled by sigma, step t reading row t; a single rollout adds stream
+    (seed, 1 + index) drawn as (k, n)."""
+    free = free_scenario()
+    sigma = free.dynamics.sigma
     x0s = np.array([[0.0, 0.0], [1.5, -2.0], [10.0, 3.0]])
     states, first_hit = mc.simulate_batch(free, x0s, 5, seed=31, base_index=7)
     assert np.all(first_hit == 6)
-    for i in range(3):
-        noise = mc.stream(31, 7 + i).normal(size=(5, 2)) * free.dynamics.sigma
-        assert np.array_equal(states[i, 1:], states[i, :-1] + noise)
+    noise = mc.stream(31, 7).normal(size=(5, 3, 2)) * sigma
+    for t in range(5):
+        assert np.array_equal(states[:, t + 1], states[:, t] + noise[t])
+    solo = mc.simulate(free, x0s[1], 5, seed=31, index=4)
+    noise = mc.stream(31, 5).normal(size=(5, 2)) * sigma
+    assert np.array_equal(solo.states[1:], solo.states[:-1] + noise)
+
+
+def test_batch_noise_uncorrelated_across_trajectories():
+    """10^4 pairs of adjacent trajectories in one batch, correlating their
+    whole noise sequences so the estimator noise (1/sqrt(pairs * length))
+    sits well inside the 0.01 gate."""
+    n_pairs = 10000
+    free = free_scenario()
+    states, _ = mc.simulate_batch(free, np.zeros((2 * n_pairs, 2)), 9, seed=7)
+    noise = np.diff(states, axis=1) / free.dynamics.sigma
+    corr = np.corrcoef(noise[0::2].ravel(), noise[1::2].ravel())[0, 1]
+    assert abs(corr) < 0.01
 
 
 def test_curve_entries_match_single_horizon_estimates(demo_scenario):

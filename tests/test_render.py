@@ -71,6 +71,9 @@ def test_render_byte_identical(demo_scenario, demo_bounds, tmp_path):
     assert a.read_bytes() == b.read_bytes()
     assert hashlib.sha256(a.read_bytes()).hexdigest() == (
         "0ffa89716f7983e6eb5195d5b0855983a491cf3dd8defa43f11f23f0e34cc17c")
+    render.render_heatmap(bounds, 9, demo_scenario, a)
+    assert hashlib.sha256(a.read_bytes()).hexdigest() == (
+        "af8855ad148b83f37f09c798211dde38071c0e999b7f1a2e1fed9f963870b4c9")
 
 
 def test_render_rejects_bad_horizon(demo_scenario):

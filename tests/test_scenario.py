@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from relusafe import scenario as sc
-from relusafe.geometry import Polytope
+from relusafe.geometry import EPS_GEO, Polytope
 
 MINIMAL_DOC = {
     "format": sc.SCENARIO_FORMAT,
@@ -283,12 +283,28 @@ def first_match_reference(scenario, points):
     return idx
 
 
-def lookup_points(rng):
-    """Random points over and around the domain, and points within 2e-9 of
-    every grid face of the 5x5 demo partition."""
-    faces = np.arange(0.0, 10.01, 2.0)
-    jitter = np.array([-2e-9, -1e-9, 0.0, 1e-9, 2e-9])
-    on_faces = (faces[:, None] + jitter).ravel()
+def spy_contains_many(monkeypatch):
+    """Record every :meth:`Polytope.contains_many` call, the per-cell loop's test."""
+    calls = []
+    real = Polytope.contains_many
+    monkeypatch.setattr(Polytope, "contains_many",
+                        lambda self, *a, **k: calls.append(self) or real(self, *a, **k))
+    return calls
+
+
+def lookup_points(scenario, rng):
+    """Random points over and around the domain, and points on every face
+    of the box partition and at +-1 ulp, +-0.5, +-1 and +-2 EPS_GEO of it,
+    with +-1 ulp around the +-EPS_GEO boundary of the membership test."""
+    faces = np.unique(np.concatenate(
+        [np.concatenate(cell.region.bounding_box()) for cell in scenario.partition]))
+    up, down = np.inf, -np.inf
+    near = [faces, np.nextafter(faces, up), np.nextafter(faces, down)]
+    for shift in np.array([0.5, 1.0, 2.0]) * EPS_GEO:
+        near += [faces + shift, faces - shift]
+    for edge in (faces + EPS_GEO, faces - EPS_GEO):
+        near += [np.nextafter(edge, up), np.nextafter(edge, down)]
+    on_faces = np.concatenate(near)
     free = rng.uniform(-1.0, 11.0, size=len(on_faces))
     return np.vstack([rng.uniform(-1.0, 11.0, size=(3000, 2)),
                       np.column_stack([on_faces, free]),
@@ -296,15 +312,24 @@ def lookup_points(rng):
                       np.stack(np.meshgrid(on_faces, on_faces), axis=-1).reshape(-1, 2)])
 
 
+def split_partition(scenario):
+    """The demo grid with its centre cell split at x = 5 into two boxes."""
+    cells = list(scenario.partition)
+    mid = cells[12]
+    halves = [sc.PartitionCell(id=f"{mid.id}{tag}", region=Polytope.box(lo, hi),
+                               C=mid.C, c=mid.c)
+              for tag, lo, hi in (("a", [4.0, 4.0], [5.0, 6.0]), ("b", [5.0, 4.0], [6.0, 6.0]))]
+    return sc.Scenario(dynamics=scenario.dynamics, controller=scenario.controller,
+                       workspace=scenario.workspace,
+                       partition=tuple(cells[:12] + halves + cells[13:]))
+
+
 def test_cell_index_many_stacked_matches_first_match(demo_scenario, rng, monkeypatch):
-    points = lookup_points(rng)
+    points = lookup_points(demo_scenario, rng)
     want = first_match_reference(demo_scenario, points)
-    calls = []
-    real = Polytope.contains_many
-    monkeypatch.setattr(Polytope, "contains_many",
-                        lambda self, *a, **k: calls.append(self) or real(self, *a, **k))
+    calls = spy_contains_many(monkeypatch)
     got = demo_scenario.cell_index_many(points)
-    assert not calls  # one shared halfspace matrix: the stacked path
+    assert not calls  # one shared halfspace matrix: the rank table
     assert got.tolist() == want.tolist()
     assert (got == -1).any() and (got >= 0).any()
 
@@ -316,13 +341,58 @@ def test_cell_index_many_mixed_matrices_fall_back(demo_scenario, rng, monkeypatc
                                 C=first.C, c=first.c)
     mixed = sc.Scenario(dynamics=demo_scenario.dynamics, controller=demo_scenario.controller,
                         workspace=demo_scenario.workspace, partition=tuple(cells))
-    points = lookup_points(rng)
+    points = lookup_points(demo_scenario, rng)
     want = first_match_reference(mixed, points)
-    calls = []
-    real = Polytope.contains_many
-    monkeypatch.setattr(Polytope, "contains_many",
-                        lambda self, *a, **k: calls.append(self) or real(self, *a, **k))
+    calls = spy_contains_many(monkeypatch)
     assert mixed.cell_index_many(points).tolist() == want.tolist()
+    assert calls  # the per-cell loop
+
+
+@pytest.mark.parametrize("partition", ["deep3", "grid6", "split"])
+def test_cell_index_many_rank_table_matches_first_match(demo_scenario, partition, rng,
+                                                        monkeypatch):
+    if partition == "split":
+        scenario = split_partition(demo_scenario)
+    else:
+        grid, widths = {"deep3": (3, [16, 16, 16]), "grid6": (6, [8, 8])}[partition]
+        scenario = sc.make_demo_scenario(grid, widths, seed=0)
+    points = lookup_points(scenario, rng)
+    want = first_match_reference(scenario, points)
+    calls = spy_contains_many(monkeypatch)
+    assert scenario.cell_index_many(points).tolist() == want.tolist()
+    assert not calls
+
+
+def test_cell_index_many_non_finite_and_empty(demo_scenario):
+    """NaN and infinite coordinates fail the membership test (-1), however
+    they reach the table, and an empty input gives an empty index array."""
+    bad = np.array([np.nan, np.inf, -np.inf])
+    inner = np.full(3, 3.0)
+    points = np.vstack([np.column_stack([bad, inner]), np.column_stack([inner, bad]),
+                        np.stack(np.meshgrid(bad, bad), axis=-1).reshape(-1, 2)])
+    with np.errstate(invalid="ignore"):
+        want = first_match_reference(demo_scenario, points)
+        got = demo_scenario.cell_index_many(points)
+    assert (want == -1).all()
+    assert got.tolist() == want.tolist()
+    empty = demo_scenario.cell_index_many(np.empty((0, 2)))
+    assert empty.shape == (0,) and empty.dtype == int
+
+
+def test_cell_index_many_huge_table_uses_the_loop(demo_scenario, rng, monkeypatch):
+    """A 32x32 grid of boxes would need a 33^4-entry table, above the cap."""
+    edges = np.linspace(0.0, 10.0, 33)
+    cells = tuple(sc.PartitionCell(id=f"c{i}_{j}",
+                                   region=Polytope.box([edges[i], edges[j]],
+                                                       [edges[i + 1], edges[j + 1]]),
+                                   C=np.eye(2), c=np.zeros(2))
+                  for i in range(32) for j in range(32))
+    fine = sc.Scenario(dynamics=demo_scenario.dynamics, controller=demo_scenario.controller,
+                       workspace=demo_scenario.workspace, partition=cells)
+    points = rng.uniform(-1.0, 11.0, size=(500, 2))
+    want = first_match_reference(fine, points)
+    calls = spy_contains_many(monkeypatch)
+    assert fine.cell_index_many(points).tolist() == want.tolist()
     assert calls  # the per-cell loop
 
 
