@@ -80,8 +80,7 @@ def cmd_refine(args):
     else:
         if args.cell is None or args.target is None:
             raise SystemExit("need --auto or both --cell and --target")
-        bounds = (verifier.bounds_from_csv(_read(args.bounds), scenario)
-                  if args.bounds else None)
+        bounds = None  # refine_cell does not read them
         source = cell_node(_resolve_cell(scenario, args.cell))
         target = UNSAFE if args.target == "unsafe" else \
             cell_node(_resolve_cell(scenario, args.target))
@@ -207,7 +206,7 @@ def main(argv=None):
     p = sub.add_parser("refine", help="split a cell to tighten its bounds")
     p.add_argument("--scenario", required=True)
     p.add_argument("--graph", required=True)
-    p.add_argument("--bounds")
+    p.add_argument("--bounds", help="bounds CSV that --auto picks the target from")
     p.add_argument("--auto", action="store_true")
     p.add_argument("--cell")
     p.add_argument("--target")

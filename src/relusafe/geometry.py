@@ -52,23 +52,6 @@ class DegenerateSplitError(GeometryError):
 
 
 @dataclass(frozen=True, eq=False)
-class Halfspace:
-    """The region ``a . x <= b``."""
-
-    a: np.ndarray
-    b: float
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float).reshape(-1)
-        if not np.any(a != 0.0):
-            raise GeometryError("halfspace normal must be nonzero")
-        if not np.all(np.isfinite(a)) or not np.isfinite(self.b):
-            raise GeometryError("halfspace data must be finite")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", float(self.b))
-
-
-@dataclass(frozen=True, eq=False)
 class Hyperplane:
     """The set ``normal . x = offset``."""
 
@@ -116,11 +99,6 @@ class Polytope:
         return self.A.shape[0]
 
     @classmethod
-    def from_halfspaces(cls, halfspaces):
-        hs = list(halfspaces)
-        return cls(np.array([h.a for h in hs]), np.array([h.b for h in hs]))
-
-    @classmethod
     def box(cls, lo, hi):
         lo = np.asarray(lo, dtype=float).reshape(-1)
         hi = np.asarray(hi, dtype=float).reshape(-1)
@@ -129,9 +107,6 @@ class Polytope:
         n = len(lo)
         eye = np.eye(n)
         return cls(np.vstack([eye, -eye]), np.concatenate([hi, -lo]))
-
-    def halfspaces(self):
-        return [Halfspace(self.A[i].copy(), float(self.b[i])) for i in range(self.num_halfspaces)]
 
     def with_extra(self, a, b):
         """New polytope with one more halfspace ``a . x <= b`` appended."""
@@ -147,14 +122,8 @@ class Polytope:
         points = np.asarray(points, dtype=float)
         return np.all(points @ self.A.T - self.b <= tol, axis=1)
 
-    def _halfspace_lp(self):
-        """Feasibility LP of ``A x <= b``, one row ``h<i>`` per halfspace."""
-        return linprog.LinearProgram.from_rows(
-            self.dim, [(self.A[i], "<=", float(self.b[i]), f"h{i}")
-                       for i in range(self.num_halfspaces)])
-
     def is_empty(self):
-        return isinstance(linprog.solve(self._halfspace_lp()), linprog.Infeasible)
+        return isinstance(linprog.solve(linprog.LinearProgram(self.A, self.b)), linprog.Infeasible)
 
     def axis_bounds(self):
         """Per-axis (lo, hi) when every row has exactly one nonzero
@@ -205,9 +174,7 @@ class Polytope:
 
     def extreme(self, direction, sense):
         """Min or max of ``direction . x`` over the polytope (inf if unbounded)."""
-        lp = self._halfspace_lp()
-        lp.set_objective(sense, np.asarray(direction, dtype=float))
-        res = linprog.solve(lp)
+        res = linprog.solve(linprog.LinearProgram(self.A, self.b, objective=(sense, direction)))
         if isinstance(res, linprog.Infeasible):
             raise EmptyPolytopeError("extreme of an empty polytope")
         if isinstance(res, linprog.Unbounded):
@@ -285,8 +252,8 @@ def is_empty_intersection(p1, p2):
     """True iff the two polytopes have no common point (LP infeasibility)."""
     if p1.dim != p2.dim:
         raise GeometryError("dimension mismatch")
-    stacked = Polytope(np.vstack([p1.A, p2.A]), np.concatenate([p1.b, p2.b]))
-    return stacked.is_empty()
+    lp = linprog.LinearProgram(np.vstack([p1.A, p2.A]), np.concatenate([p1.b, p2.b]))
+    return isinstance(linprog.solve(lp), linprog.Infeasible)
 
 
 def chebyshev_center(poly):
@@ -303,18 +270,14 @@ def chebyshev_center(poly):
 
 def _solve_chebyshev(poly):
     n = poly.dim
-    norms = np.linalg.norm(poly.A, axis=1)
-    lp = linprog.LinearProgram(n + 1)
-    for i in range(poly.num_halfspaces):
-        row = np.append(poly.A[i], norms[i])
-        lp.add(row, "<=", poly.b[i], f"h{i}")
-    rrow = np.zeros(n + 1)
-    rrow[n] = -1.0
-    lp.add(rrow, "<=", 0.0, "r_nonneg")
+    rows = np.zeros((poly.num_halfspaces + 1, n + 1))
+    rows[:-1, :n] = poly.A
+    rows[:-1, n] = np.linalg.norm(poly.A, axis=1)
+    rows[-1, n] = -1.0  # r >= 0
     cost = np.zeros(n + 1)
     cost[n] = 1.0
-    lp.set_objective("max", cost)
-    res = linprog.solve(lp)
+    res = linprog.solve(linprog.LinearProgram(rows, np.append(poly.b, 0.0),
+                                              objective=("max", cost)))
     if isinstance(res, linprog.Infeasible):
         raise EmptyPolytopeError("chebyshev center of an empty polytope")
     if isinstance(res, linprog.Unbounded):

@@ -43,6 +43,8 @@ from .scenario import scenario_sha256
 
 GRAPH_FORMAT = "relusafe-graph-v1"
 TOOL_VERSION = "0.1.0"
+# Outward padding of every reach box, against rounding in its interval bounds.
+REACH_BOX_INFLATE = 1e-9
 
 
 class GraphError(Exception):
@@ -129,9 +131,6 @@ class TransitionGraph:
     regions: dict = field(default_factory=dict)   # NodeId -> Polytope (cell nodes)
     sigma: np.ndarray | None = None
 
-    def neighbors(self, node):
-        return self.edges.get(node, [])
-
     def edge(self, source, target):
         for e in self.edges.get(source, []):
             if e.target == target:
@@ -142,10 +141,15 @@ class TransitionGraph:
         return [v for v in self.nodes if v.kind == "cell"]
 
     def bind_scenario(self, scenario):
-        """Attach regions and noise data from the owning scenario."""
+        """Attach regions and noise data from the owning scenario.
+
+        A graph without a scenario digest records this scenario's; one
+        with a digest raises :class:`GraphError` on a mismatch.
+        """
         digest = scenario_sha256(scenario)
         if self.scenario_sha256 and digest != self.scenario_sha256:
             raise GraphError("graph was built for a different scenario (hash mismatch)")
+        self.scenario_sha256 = digest
         for node in self.cell_nodes():
             self.regions[node] = scenario.partition[node.cells[0]].region
         self.sigma = scenario.dynamics.sigma
@@ -159,14 +163,14 @@ def bisection_floor(dq):
     return 2.0 ** (-math.ceil(math.log2(1.0 / dq)))
 
 
-def reach_box(scenario, cell, inflate=1e-9):
+def reach_box(scenario, cell):
     """Interval overapproximation of the noise-free successor means of a cell."""
     lo, hi = cell.region.bounding_box()
     _, _, (u_lo, u_hi) = smc.cell_network_bounds(scenario.controller, cell)
     dyn = scenario.dynamics
     ax_lo, ax_hi = smc.interval_affine(dyn.A, np.zeros(dyn.n), lo, hi)
     bu_lo, bu_hi = smc.interval_affine(dyn.B, np.zeros(dyn.n), u_lo, u_hi)
-    return Polytope.box(ax_lo + bu_lo - inflate, ax_hi + bu_hi + inflate)
+    return Polytope.box(ax_lo + bu_lo - REACH_BOX_INFLATE, ax_hi + bu_hi + REACH_BOX_INFLATE)
 
 
 class CellReach:
@@ -315,7 +319,6 @@ def build_graph(scenario, dq, jobs=1):
     graph = TransitionGraph(
         nodes=nodes, edges=edges, dq=dq,
         q_threshold_floor=bisection_floor(dq),
-        scenario_sha256=scenario_sha256(scenario),
     )
     for node, row in graph.edges.items():
         for e in row:

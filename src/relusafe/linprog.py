@@ -1,10 +1,15 @@
 """Dense-simplex linear programming with verifiable infeasibility certificates.
 
 The solver decides feasibility of (and optionally optimizes over) systems of
-dense linear constraints with free variables.  Every infeasible verdict comes
-with a Farkas certificate: nonnegative multipliers over the canonical
-``a . x <= b`` form of the constraints that combine them into ``0 <= c`` with
-``c < 0``.  Certificates can be re-checked independently of the solver with
+dense linear constraints with free variables.  A :class:`LinearProgram` is
+stated once, from arrays: an (m, n) row matrix, its right-hand sides, a
+mask of the rows that are equalities (the others read ``a . x <= b``) and a
+label per row, the row index by default.  The solver works on the canonical
+``a . x <= b`` form, in which each equality is expanded in place into its
++ copy and, right after it, its - copy ``-a . x <= -b``.  Every infeasible
+verdict comes with a Farkas certificate: nonnegative multipliers over those
+canonical rows that combine them into ``0 <= c`` with ``c < 0``.
+Certificates can be re-checked independently of the solver with
 :func:`check_certificate`.
 
 Implementation: two-phase primal simplex on the full dense tableau, Bland's
@@ -19,7 +24,7 @@ choice, is the same as with the full dense update.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,65 +44,62 @@ class LpNumericalError(LpError):
     """Iteration guard exceeded or solver produced an inconsistent result."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """A labeled system of linear constraints over one variable vector.
+    """The system ``rows[i] . x (<= or =) rhs[i]`` over one variable vector.
 
-    Constraints are ``(a, rel, b, label)`` with ``rel`` one of ``"<="``,
-    ``"="``, ``">="``.  Labels must be unique; they key the certificates.
-    An optional objective is ``(direction, cost)`` with direction ``"min"``
-    or ``"max"``.
+    ``rows`` is the (m, n) constraint matrix and ``rhs`` its m right-hand
+    sides.  ``eq`` marks the equality rows (default: none); every other row
+    is ``<=``.  ``labels`` names each row in certificates and must be unique
+    (default: the row index).  An optional ``objective`` is ``(direction,
+    cost)`` with direction ``"min"`` or ``"max"``.  The arrays are read,
+    never written.
     """
 
-    num_vars: int
-    rows: list = field(default_factory=list)
+    rows: np.ndarray
+    rhs: np.ndarray
+    eq: np.ndarray | None = None
+    labels: object = None
     objective: tuple | None = None
 
     def __post_init__(self):
-        if self.num_vars < 1:
-            raise ValueError("num_vars must be >= 1")
-        self._labels = {r[3] for r in self.rows}
+        rows = np.asarray(self.rows, dtype=float)
+        rhs = np.asarray(self.rhs, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] < 1 or rhs.shape != rows.shape[:1]:
+            raise ValueError(f"expected an (m, n >= 1) matrix and m right-hand sides, "
+                             f"got {rows.shape} and {rhs.shape}")
+        m = len(rhs)
+        eq = np.zeros(m, dtype=bool) if self.eq is None else np.asarray(self.eq, dtype=bool)
+        if eq.shape != (m,):
+            raise ValueError("eq needs one flag per row")
+        if self.labels is not None and (len(self.labels) != m or len(set(self.labels)) != m):
+            raise ValueError("labels must name each row once")
+        objective = self.objective
+        if objective is not None:
+            direction, cost = objective
+            if direction not in ("min", "max"):
+                raise ValueError(f"bad objective direction {direction!r}")
+            cost = np.asarray(cost, dtype=float)
+            if cost.shape != (rows.shape[1],):
+                raise ValueError("objective dimension mismatch")
+            objective = (direction, cost)
+        for name, value in (("rows", rows), ("rhs", rhs), ("eq", eq), ("objective", objective)):
+            object.__setattr__(self, name, value)
 
-    @classmethod
-    def from_rows(cls, num_vars, rows, objective=None):
-        """LP over rows that are already well formed, without per-row checks.
+    @property
+    def num_vars(self):
+        return self.rows.shape[1]
 
-        Each row must be ``(a, rel, b, label)`` as :meth:`add` stores it: a
-        float array of length ``num_vars``, a valid relation, a float ``b``
-        and a label unique among ``rows``.  Callers that assemble rows from
-        checked parts (the reach-query encoding, polytopes, affine pieces)
-        use this to skip :meth:`add`'s validation.
-        """
-        return cls(num_vars, list(rows), objective)
-
-    def add(self, a, rel, b, label):
-        a = np.asarray(a, dtype=float).reshape(-1)
-        if a.shape != (self.num_vars,):
-            raise ValueError(f"row {label!r}: expected {self.num_vars} coefficients, got {a.shape}")
-        if rel not in ("<=", "=", ">="):
-            raise ValueError(f"row {label!r}: bad relation {rel!r}")
-        if not np.all(np.isfinite(a)) or not np.isfinite(b):
-            raise ValueError(f"row {label!r}: non-finite data")
-        if label in self._labels:
-            raise ValueError(f"duplicate constraint label {label!r}")
-        self._labels.add(label)
-        self.rows.append((a, rel, float(b), label))
-
-    def set_objective(self, direction, cost):
-        if direction not in ("min", "max"):
-            raise ValueError(f"bad objective direction {direction!r}")
-        cost = np.asarray(cost, dtype=float).reshape(-1)
-        if cost.shape != (self.num_vars,):
-            raise ValueError("objective dimension mismatch")
-        self.objective = (direction, cost)
+    def label(self, i):
+        return i if self.labels is None else self.labels[i]
 
 
 @dataclass(frozen=True)
 class CertEntry:
     """One certificate term: multiplier for a canonical <=-form row.
 
-    ``side`` is +1 for the row as written (after flipping ``>=``) and -1 for
-    the negated copy that an equality contributes.
+    ``label`` names the row as given; ``side`` is +1 for the row as written
+    and -1 for the negated copy that an equality contributes.
     """
 
     label: object
@@ -121,22 +123,20 @@ class Unbounded:
     direction: str
 
 
-def canonical_rows(lp):
-    """The canonical ``a . x <= b`` rows of ``lp`` as (a, b, label, side).
-
-    ``<=`` rows map to themselves, ``>=`` rows to their negation (side +1
-    in both cases); ``=`` rows contribute both a +1 and a -1 copy.
-    """
-    out = []
-    for a, rel, b, label in lp.rows:
-        if rel == "<=":
-            out.append((a, b, label, +1))
-        elif rel == ">=":
-            out.append((-a, -b, label, +1))
-        else:
-            out.append((a, b, label, +1))
-            out.append((-a, -b, label, -1))
-    return out
+def _canonical(lp):
+    """``(A, b, index, side)``: the canonical ``<=`` rows of ``lp`` with,
+    per row, the index of the row it came from and its side (+1, or -1 for
+    the negated copy that follows each equality)."""
+    m = len(lp.rhs)
+    if not lp.eq.any():
+        return lp.rows, lp.rhs, np.arange(m), np.ones(m, dtype=int)
+    index = np.repeat(np.arange(m), np.where(lp.eq, 2, 1))
+    side = np.ones(len(index), dtype=int)
+    side[1:][index[1:] == index[:-1]] = -1
+    A, b = lp.rows[index], lp.rhs[index]
+    A[side < 0] = -A[side < 0]
+    b[side < 0] = -b[side < 0]
+    return A, b, index, side
 
 
 def check_certificate(lp, certificate, tol=EPS_CERT):
@@ -146,13 +146,14 @@ def check_certificate(lp, certificate, tol=EPS_CERT):
     all multipliers >= 0, sum of y_i * a_i vanishes (within ``tol``
     per coordinate) and sum of y_i * b_i is strictly negative.
     """
-    rows = {(label, side): (a, b) for a, b, label, side in canonical_rows(lp)}
+    row_of = {lp.label(i): i for i in range(len(lp.rhs))}
     terms = []
     for entry in certificate:
-        key = (entry.label, entry.side)
-        if key not in rows:
+        i = row_of.get(entry.label)
+        if i is None or entry.side not in (1, -1) or (entry.side < 0 and not lp.eq[i]):
             return False
-        terms.append((entry.weight, *rows[key]))
+        a, b = lp.rows[i], lp.rhs[i]
+        terms.append((entry.weight, a, b) if entry.side > 0 else (entry.weight, -a, -b))
     return _farkas_holds(terms, lp.num_vars, tol)
 
 
@@ -168,7 +169,7 @@ def _farkas_holds(terms, num_vars, tol):
     return bool(np.max(np.abs(combo)) <= tol and rhs < 0)
 
 
-def solve(lp, max_iters=None):
+def solve(lp):
     """Solve ``lp`` and return Feasible, Infeasible or Unbounded.
 
     Feasible points violate no constraint by more than ``EPS_FEAS`` on
@@ -176,8 +177,8 @@ def solve(lp, max_iters=None):
     is verified before being returned; an inconsistency raises
     :class:`LpNumericalError` rather than returning a wrong answer.
     """
-    rows = canonical_rows(lp)
-    m = len(rows)
+    A0, b0, index, side = _canonical(lp)
+    m = len(b0)
     n = lp.num_vars
     if m == 0:
         point = np.zeros(n)
@@ -185,12 +186,10 @@ def solve(lp, max_iters=None):
             return Unbounded(lp.objective[0]) if np.any(lp.objective[1] != 0) else Feasible(point, 0.0)
         return Feasible(point, None)
 
-    A = np.array([r[0] for r in rows], dtype=float)
-    b = np.array([r[1] for r in rows], dtype=float)
-    scale = np.linalg.norm(A, axis=1)
+    scale = np.linalg.norm(A0, axis=1)
     scale[scale < 1e-300] = 1.0
-    A = A / scale[:, None]
-    b = b / scale
+    A = A0 / scale[:, None]
+    b = b0 / scale
 
     # Standard form: x = xp - xm, slack s >= 0 per row, artificials where
     # the sign-flipped RHS forces them.  Columns: [xp | xm | s | t].
@@ -218,8 +217,8 @@ def solve(lp, max_iters=None):
     for i in art_rows:
         T[m] -= T[i]
 
-    if max_iters is None:
-        max_iters = 2000 + 50 * (m + ncols)
+    # Iteration guard: far above what Bland's rule needs on these sizes.
+    max_iters = 2000 + 50 * (m + ncols)
     _run_simplex(T, basis, entering_block=None, max_iters=max_iters)
 
     z1 = -T[m, -1]
@@ -228,8 +227,9 @@ def solve(lp, max_iters=None):
         # Farkas vector for the scaled rows.
         y = np.maximum(T[m, 2 * n:2 * n + m], 0.0) / scale
         support = np.nonzero(y > 1e-14)[0]
-        cert = tuple(CertEntry(rows[i][2], rows[i][3], float(y[i])) for i in support)
-        terms = [(e.weight, rows[i][0], rows[i][1]) for e, i in zip(cert, support)]
+        cert = tuple(CertEntry(lp.label(int(index[i])), int(side[i]), float(y[i]))
+                     for i in support)
+        terms = [(e.weight, A0[i], b0[i]) for e, i in zip(cert, support)]
         if not _farkas_holds(terms, n, EPS_CERT):
             raise LpNumericalError("infeasibility certificate failed its own audit")
         return Infeasible(cert)

@@ -21,7 +21,7 @@ from .geometry import (DegenerateSplitError, Hyperplane, chebyshev_center,
                        gaussian_quantile, split)
 from .graph import (UNSAFE, CellReach, Edge, TransitionGraph, cell_node, estimate_edge,
                     sink_edge, source_row)
-from .scenario import PartitionCell, Scenario, scenario_sha256
+from .scenario import PartitionCell, Scenario
 from .smc import max_slack, slack_tolerance
 
 
@@ -133,6 +133,9 @@ def refine_cell(scenario, graph, bounds, source, target, steps=4):
     the split cell, in both directions, plus the two new sink edges.  When
     every translation fails to cut the cell the call is a no-op carrying a
     report in the plan.
+
+    ``bounds`` is not read (pass None).  The parameter stays in its place
+    because the benchmark (``perfbench/run.py``) passes it positionally.
     """
     if steps < 1:
         raise RefinementError("steps must be >= 1")
@@ -231,8 +234,7 @@ def _rebuild_graph(new_scenario, graph, cell_map):
     edges[UNSAFE] = list(graph.edges[UNSAFE])
 
     out = TransitionGraph(nodes=list(edges), edges=edges, dq=dq,
-                          q_threshold_floor=graph.q_threshold_floor,
-                          scenario_sha256=scenario_sha256(new_scenario))
+                          q_threshold_floor=graph.q_threshold_floor)
     return out.bind_scenario(new_scenario)
 
 

@@ -26,6 +26,8 @@ from .geometry import (EPS_GEO, STRICT_MARGIN, GeometryError, Polytope, box_pair
 SCENARIO_FORMAT = "relusafe-scenario-v1"
 # Most entries of a cell lookup table (8 MB); larger partitions loop over their cells.
 _RANK_TABLE_CAP = 1 << 20
+# Points per axis of the grid on which validation checks coverage of the domain.
+COVERAGE_SAMPLES = 40
 
 
 class ScenarioError(Exception):
@@ -350,7 +352,7 @@ def closed_loop_mean_step(scenario, X, cell, tol=1e-7):
     return dyn.A @ X + dyn.B @ u
 
 
-def validate_scenario(scenario, coverage_samples=40):
+def validate_scenario(scenario):
     """Check the cross-cutting scenario invariants, raising on the first failure.
 
     Pairwise cell disjointness is decided on regions shrunk by the strict
@@ -404,7 +406,7 @@ def validate_scenario(scenario, coverage_samples=40):
         raise ScenarioError(f"cells {cells[i].id} and {cells[j].id} overlap")
 
     lo, hi = dom.bounding_box()
-    axes = [np.linspace(lo[d], hi[d], coverage_samples) for d in range(dyn.n)]
+    axes = [np.linspace(lo[d], hi[d], COVERAGE_SAMPLES) for d in range(dyn.n)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dyn.n)
     in_domain = dom.contains_many(mesh, tol=-1e-6)
     pts = mesh[in_domain]

@@ -150,22 +150,37 @@ def presolve_branches(t_lo, t_hi):
     return forced
 
 
+# Per neuron, the two rows of each of its three states, in this order:
+# inactive, active, relaxed (unassigned).
+_INACTIVE, _ACTIVE, _RELAXED = range(3)
+
+
 @dataclass(frozen=True, eq=False)
 class SmcProblem:
-    """One source cell versus one target polytope, ready to branch on."""
+    """One source cell versus one target polytope, ready to branch on.
+
+    The variables are ``(X, X', u, t, h)``.  ``base`` holds the rows that
+    depend on neither the target nor the branches, ``target_rows`` the
+    target membership of ``X'`` and ``neuron_rows`` six rows per neuron:
+    its inactive, active and relaxed pairs (see :meth:`lp_for_assignment`).
+    """
 
     scenario: object
     cell: object
     target: object
-    num_vars: int
     n: int
     m: int
     num_neurons: int
     layer_of: np.ndarray        # hidden-layer index per neuron, layer-major
-    base_rows: tuple            # rows independent of target and branches
-    target_rows: tuple
+    base: linprog.LinearProgram
+    target_rows: linprog.LinearProgram
+    neuron_rows: linprog.LinearProgram
     t_lo: np.ndarray            # interval pre-activation bounds per neuron
     t_hi: np.ndarray
+
+    @property
+    def num_vars(self):
+        return self.base.num_vars
 
     @property
     def xt(self):
@@ -178,46 +193,23 @@ class SmcProblem:
     def t_var(self, j):
         return 2 * self.n + self.m + j
 
-    def h_var(self, j):
-        return 2 * self.n + self.m + self.num_neurons + j
-
     def with_target(self, target):
         """Same encoding against a different target polytope."""
-        return replace(self, target=target, target_rows=tuple(_target_rows(self, target)))
-
-    def branch_rows(self, j, active):
-        nv = self.num_vars
-        if active:
-            eq = np.zeros(nv)
-            eq[self.h_var(j)] = 1.0
-            eq[self.t_var(j)] = -1.0
-            ge = np.zeros(nv)
-            ge[self.t_var(j)] = -1.0
-            return [(eq, "=", 0.0, ("act_eq", j)), (ge, "<=", 0.0, ("act_ge", j))]
-        eq = np.zeros(nv)
-        eq[self.h_var(j)] = 1.0
-        le = np.zeros(nv)
-        le[self.t_var(j)] = 1.0
-        return [(eq, "=", 0.0, ("inact_eq", j)), (le, "<=", -EPS_STRICT, ("inact_le", j))]
-
-    def relax_rows(self, j):
-        nv = self.num_vars
-        pos = np.zeros(nv)
-        pos[self.h_var(j)] = -1.0
-        ub = np.zeros(nv)
-        ub[self.t_var(j)] = 1.0
-        ub[self.h_var(j)] = -1.0
-        return [(pos, "<=", 0.0, ("rlx_pos", j)), (ub, "<=", 0.0, ("rlx_ub", j))]
+        rows = np.zeros((target.num_halfspaces, self.num_vars))
+        rows[:, self.xnext] = target.A
+        return replace(self, target=target, target_rows=linprog.LinearProgram(
+            rows, target.b, labels=np.fromiter((("tgt", i) for i in range(len(rows))), object)))
 
     def lp_for_assignment(self, assignment):
-        """LP with assigned branches active and the rest relaxed."""
-        rows = list(self.base_rows) + list(self.target_rows)
-        for j in range(self.num_neurons):
-            if j in assignment:
-                rows.extend(self.branch_rows(j, assignment[j]))
-            else:
-                rows.extend(self.relax_rows(j))
-        return linprog.LinearProgram.from_rows(self.num_vars, rows)
+        """LP with assigned branches active and the rest relaxed: the base
+        and target rows, then each neuron's pair for its state."""
+        state = np.full(self.num_neurons, _RELAXED)
+        for j, active in assignment.items():
+            state[j] = _ACTIVE if active else _INACTIVE
+        pick = ((6 * np.arange(self.num_neurons) + 2 * state)[:, None] + (0, 1)).ravel()
+        parts = ((self.base, ...), (self.target_rows, ...), (self.neuron_rows, pick))
+        return linprog.LinearProgram(*(np.concatenate([getattr(lp, name)[take] for lp, take in parts])
+                                       for name in ("rows", "rhs", "eq", "labels")))
 
     def dump(self):
         """Human-readable listing of the constraint system, for audit."""
@@ -229,29 +221,42 @@ class SmcProblem:
             + [f"h{j}" for j in range(self.num_neurons)]
         )
         lines = []
-        for a, rel, b, label in list(self.base_rows) + list(self.target_rows):
-            terms = " + ".join(
-                f"{a[k]:+g}*{names[k]}" for k in np.nonzero(a)[0]
-            )
-            lines.append(f"{label}: {terms} {rel} {b:g}")
+        for lp in (self.base, self.target_rows):
+            for a, b, eq, label in zip(lp.rows, lp.rhs, lp.eq, lp.labels):
+                terms = " + ".join(f"{a[k]:+g}*{names[k]}" for k in np.nonzero(a)[0])
+                lines.append(f"{label}: {terms} {'=' if eq else '<='} {b:g}")
         for j in range(self.num_neurons):
             lines.append(f"neuron {j} (layer {self.layer_of[j]}): "
                          f"b{j} -> h{j}=t{j}, t{j}>=0 ; !b{j} -> h{j}=0, t{j}<=-{EPS_STRICT:g}")
         return "\n".join(lines)
 
 
-def _target_rows(problem, target):
-    rows = []
-    nv = problem.num_vars
-    for i in range(target.num_halfspaces):
-        row = np.zeros(nv)
-        row[problem.xnext] = target.A[i]
-        rows.append((row, "<=", float(target.b[i]), ("tgt", i)))
-    return rows
+def _neuron_rows(n, m, N):
+    """Six rows per neuron over the variables of :class:`SmcProblem`:
+
+        inactive:  h = 0       and  t <= -EPS_STRICT
+        active:    h - t = 0   and  -t <= 0
+        relaxed:   -h <= 0     and  t - h <= 0
+    """
+    j = np.arange(N)[:, None]
+    rows = np.zeros((N, 6, 2 * n + m + 2 * N))
+    rows[j, range(6), 2 * n + m + j] = (0.0, 1.0, -1.0, -1.0, 0.0, 1.0)      # t
+    rows[j, range(6), 2 * n + m + N + j] = (1.0, 0.0, 1.0, 0.0, -1.0, -1.0)  # h
+    rhs = np.tile([0.0, -EPS_STRICT, 0.0, 0.0, 0.0, 0.0], N)
+    eq = np.tile([True, False, True, False, False, False], N)
+    tags = ("inact_eq", "inact_le", "act_eq", "act_ge", "rlx_pos", "rlx_ub")
+    return linprog.LinearProgram(rows.reshape(6 * N, -1), rhs, eq=eq,
+                                 labels=np.fromiter(((tag, k) for k in range(N) for tag in tags), object))
 
 
 def build_encoding(scenario, cell, target_aug):
-    """Assemble the query for one (source cell, target polytope) pair."""
+    """Assemble the query for one (source cell, target polytope) pair.
+
+    The base rows, in order: source membership of ``X``, the dynamics
+    ``X' - A X - B u = 0``, each neuron's affine link ``t - W (input) = w``
+    layer by layer (the first layer's input is the measurement ``C X + c``)
+    and the output ``u - W h = w``.
+    """
     dyn = scenario.dynamics
     net = scenario.controller
     n, m = dyn.n, dyn.m
@@ -262,53 +267,39 @@ def build_encoding(scenario, cell, target_aug):
     widths = net.hidden_widths
     N = sum(widths)
     nv = 2 * n + m + 2 * N
-    layer_of = np.repeat(np.arange(len(widths)), widths)
     offsets = np.concatenate([[0], np.cumsum(widths)])
-
-    rows = []
+    t_base, h_base = 2 * n + m, 2 * n + m + N
     region = cell.region
-    for i in range(region.num_halfspaces):
-        row = np.zeros(nv)
-        row[0:n] = region.A[i]
-        rows.append((row, "<=", float(region.b[i]), ("src", i)))
-    for d in range(n):
-        row = np.zeros(nv)
-        row[n + d] = 1.0
-        row[0:n] -= dyn.A[d]
-        row[2 * n:2 * n + m] -= dyn.B[d]
-        rows.append((row, "=", 0.0, ("dyn", d)))
+    k = region.num_halfspaces
 
-    t_base = 2 * n + m
-    h_base = t_base + N
+    rows = np.zeros((k + n + N + m, nv))
+    rows[:k, :n] = region.A
+    dyn_rows = rows[k:k + n]
+    dyn_rows[:, n:2 * n] = np.eye(n)
+    dyn_rows[:, :n] -= dyn.A
+    dyn_rows[:, 2 * n:t_base] -= dyn.B
+    aff = rows[k + n:k + n + N]
+    aff[:, t_base:h_base] = np.eye(N)
     W0, w0 = net.layers[0]
-    W0C = W0 @ cell.C
-    bias0 = W0 @ cell.c + w0
-    for i in range(widths[0]):
-        row = np.zeros(nv)
-        row[t_base + i] = 1.0
-        row[0:n] = -W0C[i]
-        rows.append((row, "=", float(bias0[i]), ("aff", i)))
-    for k in range(1, len(widths)):
-        Wk, wk = net.layers[k]
-        for i in range(widths[k]):
-            j = offsets[k] + i
-            row = np.zeros(nv)
-            row[t_base + j] = 1.0
-            row[h_base + offsets[k - 1]:h_base + offsets[k]] = -Wk[i]
-            rows.append((row, "=", float(wk[i]), ("aff", j)))
+    aff[:widths[0], :n] = -(W0 @ cell.C)
+    for i in range(1, len(widths)):
+        aff[offsets[i]:offsets[i + 1], h_base + offsets[i - 1]:h_base + offsets[i]] = -net.layers[i][0]
     WL, wL = net.layers[-1]
-    for d in range(m):
-        row = np.zeros(nv)
-        row[2 * n + d] = 1.0
-        row[h_base + offsets[-2]:h_base + offsets[-1]] = -WL[d]
-        rows.append((row, "=", float(wL[d]), ("out", d)))
+    out = rows[k + n + N:]
+    out[:, 2 * n:t_base] = np.eye(m)
+    out[:, h_base + offsets[-2]:] = -WL
+    rhs = np.concatenate([region.b, np.zeros(n), W0 @ cell.c + w0,
+                          *(w for _, w in net.layers[1:])])
+    labels = np.fromiter([*(("src", i) for i in range(k)), *(("dyn", d) for d in range(n)),
+                          *(("aff", j) for j in range(N)), *(("out", d) for d in range(m))], object)
+    base = linprog.LinearProgram(rows, rhs, eq=np.arange(len(rows)) >= k, labels=labels)
 
     t_lo, t_hi, _ = cell_network_bounds(net, cell)
 
     problem = SmcProblem(
         scenario=scenario, cell=cell, target=target_aug,
-        num_vars=nv, n=n, m=m, num_neurons=N, layer_of=layer_of,
-        base_rows=tuple(rows), target_rows=(),
+        n=n, m=m, num_neurons=N, layer_of=np.repeat(np.arange(len(widths)), widths),
+        base=base, target_rows=None, neuron_rows=_neuron_rows(n, m, N),
         t_lo=t_lo, t_hi=t_hi,
     )
     return problem.with_target(target_aug)
@@ -488,7 +479,7 @@ def affine_pieces(scenario, cell):
         return ()
     # Partial pieces: rows so far, a point satisfying them (or None) and the
     # current layer's input as the affine map ``G x + g`` of the state.
-    partial = [(list(cell.region.A), list(cell.region.b), None, cell.C, cell.c)]
+    partial = [(cell.region.A, cell.region.b, None, cell.C, cell.c)]
     offset = 0
     for W, w in net.layers[:-1]:
         grown = []
@@ -506,8 +497,7 @@ def affine_pieces(scenario, cell):
         partial = grown
         offset += len(w)
     WL, wL = net.layers[-1]
-    return tuple(AffinePiece(A=np.array(A), b=np.array(b),
-                             M=dyn.A + dyn.B @ (WL @ G), m=dyn.B @ (WL @ g + wL))
+    return tuple(AffinePiece(A=A, b=b, M=dyn.A + dyn.B @ (WL @ G), m=dyn.B @ (WL @ g + wL))
                  for A, b, _, G, g in partial)
 
 
@@ -519,12 +509,10 @@ def _branch(leaf, a, a0, active, lo, hi):
     if (lo >= 0.0) if active else (hi <= -EPS_STRICT):
         return [(A, b, point, bits)]
     row, rhs = (-a, float(a0)) if active else (a, -EPS_STRICT - float(a0))
-    A, b = A + [row], b + [rhs]
+    A, b = np.vstack([A, row]), np.append(b, rhs)
     if point is None or row @ point > rhs:
-        lp = linprog.LinearProgram.from_rows(
-            len(row), [(A[k], "<=", float(b[k]), k) for k in range(len(b))])
         try:
-            res = linprog.solve(lp)
+            res = linprog.solve(linprog.LinearProgram(A, b))
         except linprog.LpNumericalError:
             point = None
         else:
@@ -554,19 +542,15 @@ def max_slack(pieces, target, sigma):
     spread = _row_spreads(target, sigma)
     best = (-np.inf, None, None)
     for piece in pieces:
-        n = piece.M.shape[1]
-        rows = [(np.append(piece.A[k], 0.0), "<=", float(piece.b[k]), ("piece", k))
-                for k in range(len(piece.b))]
-        TA = target.A @ piece.M
-        tb = target.b - target.A @ piece.m
-        rows += [(np.append(TA[i], spread[i]), "<=", float(tb[i]), ("tgt", i))
-                 for i in range(target.num_halfspaces)]
-        cap = np.zeros(n + 1)
-        cap[n] = 1.0
-        rows.append((cap, "<=", SLACK_CAP, ("slack_cap",)))
-        lp = linprog.LinearProgram.from_rows(n + 1, rows, objective=("max", cap.copy()))
+        k, n = piece.A.shape
+        rows = np.zeros((k + target.num_halfspaces + 1, n + 1))
+        rows[:k, :n] = piece.A
+        rows[k:-1, :n] = target.A @ piece.M
+        rows[k:-1, n] = spread
+        rows[-1, n] = 1.0  # s <= SLACK_CAP, and the objective
+        rhs = np.concatenate([piece.b, target.b - target.A @ piece.m, [SLACK_CAP]])
         try:
-            res = linprog.solve(lp)
+            res = linprog.solve(linprog.LinearProgram(rows, rhs, objective=("max", rows[-1])))
         except linprog.LpNumericalError:
             return np.inf, None, None
         if isinstance(res, linprog.Feasible) and res.objective_value > best[0]:

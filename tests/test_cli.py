@@ -5,6 +5,7 @@ import csv
 import pytest
 
 from relusafe import cli
+from relusafe import graph as gr
 from relusafe import montecarlo as mc
 from relusafe import scenario as sc
 
@@ -74,6 +75,24 @@ def test_refine_auto_roundtrip(workdir):
                      "--horizon", "3", "--merge-p", "0.05",
                      "--mode", "naive", "--out", str(workdir / "bounds2.csv")])
     assert code == 0
+
+
+def test_refine_manual_needs_no_bounds(workdir, monkeypatch):
+    """``--cell``/``--target`` without ``--bounds`` splits the named cell
+    and reads no bounds CSV."""
+    def no_bounds(*args):
+        raise AssertionError("manual refine parsed a bounds CSV")
+
+    monkeypatch.setattr(cli.verifier, "bounds_from_csv", no_bounds)
+    code = cli.main(["refine", "--scenario", str(workdir / "scen.json"),
+                     "--graph", str(workdir / "graph.txt"),
+                     "--cell", "c0", "--target", "c1", "--steps", "2",
+                     "--out", f"{workdir}/scen3.json,{workdir}/graph3.txt"])
+    assert code == 0
+    refined = sc.load_scenario((workdir / "scen3.json").read_text())
+    assert [c.id for c in refined.partition] == ["c0a", "c0b", "c1", "c2", "c3"]
+    graph = gr.load_graph((workdir / "graph3.txt").read_text(), refined)
+    assert len(graph.cell_nodes()) == 5
 
 
 def test_compare_report(workdir):

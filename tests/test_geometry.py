@@ -8,7 +8,7 @@ import pytest
 from scipy.special import ndtri
 
 from relusafe import geometry
-from relusafe.geometry import (Halfspace, Hyperplane, Polytope, augmented_set,
+from relusafe.geometry import (Hyperplane, Polytope, augmented_set,
                                cell_unsafe_overlap, chebyshev_center,
                                gaussian_quantile, is_empty_intersection, split)
 from relusafe.montecarlo import stream
@@ -187,7 +187,7 @@ def test_chebyshev_center_memoized(monkeypatch):
     center, radius = chebyshev_center(poly)
     center[:] = 99.0  # the caller owns the returned center
 
-    def no_solve(lp, max_iters=None):
+    def no_solve(lp):
         raise AssertionError("chebyshev_center solved an LP again")
 
     monkeypatch.setattr(geometry.linprog, "solve", no_solve)
@@ -240,11 +240,6 @@ def test_unsafe_overlap_matches_sampling(demo_scenario):
             assert decided
         if not decided:
             assert not sampled
-
-
-def test_halfspace_rejects_zero_normal():
-    with pytest.raises(geometry.GeometryError):
-        Halfspace(np.zeros(2), 1.0)
 
 
 def lp_bounding_box(poly):

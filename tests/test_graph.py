@@ -337,6 +337,25 @@ def test_hash_mismatch_detected(small_graph):
         gr.load_graph(doc, other)
 
 
+def test_build_hashes_the_scenario_once(small_scenario, monkeypatch):
+    """``build_graph`` leaves the digest to ``bind_scenario``, which hashes
+    the scenario once and records it; a bound graph still rejects another
+    scenario."""
+    calls = []
+    real = gr.scenario_sha256
+
+    def counting(scenario):
+        calls.append(scenario)
+        return real(scenario)
+
+    monkeypatch.setattr(gr, "scenario_sha256", counting)
+    graph = gr.build_graph(small_scenario, dq=0.2, jobs=1)
+    assert calls == [small_scenario]
+    assert graph.scenario_sha256 == real(small_scenario)
+    with pytest.raises(gr.GraphError, match="hash"):
+        graph.bind_scenario(sc.make_demo_scenario(2, [6, 4], seed=9))
+
+
 def test_parallel_build_matches_serial(small_scenario):
     serial = gr.build_graph(small_scenario, dq=0.2, jobs=1)
     parallel = gr.build_graph(small_scenario, dq=0.2, jobs=2)

@@ -1,5 +1,5 @@
 """LP oracle: verdicts against a vertex-enumeration oracle, certificates,
-determinism, and irreducible infeasible subsets."""
+determinism and the array constructor."""
 
 import itertools
 
@@ -10,12 +10,15 @@ from relusafe import linprog
 
 
 def lp_from_rows(A, b, rels=None):
+    """LP of the rows ``A[i] rel b[i]``, labelled ``r<i>``; a ``>=`` row is
+    stated as its negated ``<=`` row."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    lp = linprog.LinearProgram(A.shape[1])
-    for i in range(A.shape[0]):
-        rel = rels[i] if rels else "<="
-        lp.add(A[i], rel, b[i], f"r{i}")
-    return lp
+    b = np.asarray(b, dtype=float)
+    rels = rels or ["<="] * len(b)
+    flip = np.array([-1.0 if rel == ">=" else 1.0 for rel in rels])
+    return linprog.LinearProgram(flip[:, None] * A, flip * b,
+                                 eq=[rel == "=" for rel in rels],
+                                 labels=[f"r{i}" for i in range(len(b))])
 
 
 def brute_force_feasible(A, b, tol=1e-7):
@@ -36,9 +39,7 @@ def brute_force_feasible(A, b, tol=1e-7):
 
 
 def test_one_dimensional_contradiction():
-    lp = linprog.LinearProgram(1)
-    lp.add([1.0], ">=", 1.0, "ge")
-    lp.add([1.0], "<=", 0.0, "le")
+    lp = linprog.LinearProgram([[-1.0], [1.0]], [-1.0, 0.0], labels=["ge", "le"])
     res = linprog.solve(lp)
     assert isinstance(res, linprog.Infeasible)
     labels = {e.label for e in res.certificate}
@@ -53,10 +54,7 @@ def test_one_dimensional_contradiction():
 
 
 def test_simple_minimum():
-    lp = linprog.LinearProgram(1)
-    lp.add([1.0], ">=", 0.0, "lo")
-    lp.add([1.0], "<=", 1.0, "hi")
-    lp.set_objective("min", [1.0])
+    lp = linprog.LinearProgram([[-1.0], [1.0]], [0.0, 1.0], objective=("min", [1.0]))
     res = linprog.solve(lp)
     assert isinstance(res, linprog.Feasible)
     assert res.objective_value == pytest.approx(0.0, abs=1e-9)
@@ -64,9 +62,7 @@ def test_simple_minimum():
 
 
 def test_unbounded_objective_is_distinct_outcome():
-    lp = linprog.LinearProgram(2)
-    lp.add([1.0, 0.0], "<=", 1.0, "only")
-    lp.set_objective("max", [0.0, 1.0])
+    lp = linprog.LinearProgram([[1.0, 0.0]], [1.0], objective=("max", [0.0, 1.0]))
     assert isinstance(linprog.solve(lp), linprog.Unbounded)
 
 
@@ -134,15 +130,49 @@ def test_adding_satisfied_constraint_keeps_feasibility(rng):
         res = linprog.solve(lp)
         assert isinstance(res, linprog.Feasible)
         extra = rng.normal(size=n)
-        lp.add(extra, "<=", extra @ res.point + 1.0, "extra")
+        lp = lp_from_rows(np.vstack([A, extra]), np.append(b, extra @ res.point + 1.0))
         assert isinstance(linprog.solve(lp), linprog.Feasible)
 
 
 def test_duplicate_label_rejected():
-    lp = linprog.LinearProgram(1)
-    lp.add([1.0], "<=", 1.0, "same")
     with pytest.raises(ValueError):
-        lp.add([1.0], "<=", 2.0, "same")
+        linprog.LinearProgram([[1.0], [1.0]], [1.0, 2.0], labels=["same", "same"])
+
+
+@pytest.mark.parametrize("args", [
+    ([1.0, 2.0], [1.0]),                        # rows not a matrix
+    ([[1.0], [2.0]], [1.0]),                    # one right-hand side short
+    (np.zeros((1, 0)), [1.0]),                  # no variables
+])
+def test_malformed_system_rejected(args):
+    with pytest.raises(ValueError):
+        linprog.LinearProgram(*args)
+
+
+def test_malformed_flags_labels_and_objective_rejected():
+    rows, rhs = [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0]
+    for kwargs in ({"eq": [True]}, {"labels": ["a"]},
+                   {"objective": ("up", [1.0, 0.0])}, {"objective": ("max", [1.0])}):
+        with pytest.raises(ValueError):
+            linprog.LinearProgram(rows, rhs, **kwargs)
+
+
+def test_equality_expands_in_place_and_labels_default_to_index():
+    """x = 1 (row 1) between x <= 0 (row 0) and y <= 5 (row 2): the
+    certificate combines row 0 with the - copy of row 1, labelled by index."""
+    lp = linprog.LinearProgram([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [0.0, 1.0, 5.0],
+                               eq=[False, True, False])
+    assert len(lp.rows) == 3 and lp.num_vars == 2 and lp.objective is None
+    res = linprog.solve(lp)
+    assert isinstance(res, linprog.Infeasible)
+    assert {(e.label, e.side) for e in res.certificate} == {(0, 1), (1, -1)}
+    assert linprog.check_certificate(lp, res.certificate)
+    # A - copy exists only for equalities, and every label must be known.
+    flipped = tuple(linprog.CertEntry(e.label, -e.side if e.label == 0 else e.side, e.weight)
+                    for e in res.certificate)
+    assert not linprog.check_certificate(lp, flipped)
+    unknown = tuple(linprog.CertEntry(7, e.side, e.weight) for e in res.certificate)
+    assert not linprog.check_certificate(lp, unknown)
 
 
 def test_sparse_pivot_matches_dense_update(rng):
@@ -167,12 +197,3 @@ def test_sparse_pivot_matches_dense_update(rng):
         linprog._pivot(T, basis, i, j)
         assert np.array_equal(T, ref)
         assert np.array_equal(basis, ref_basis)
-
-
-def test_from_rows_matches_checked_construction():
-    checked = lp_from_rows([[1.0, 2.0], [-1.0, 0.5]], [3.0, 1.0], ["<=", "="])
-    trusted = linprog.LinearProgram.from_rows(2, checked.rows)
-    assert trusted.rows == checked.rows and trusted.rows is not checked.rows
-    assert np.array_equal(linprog.solve(trusted).point, linprog.solve(checked).point)
-    with pytest.raises(ValueError):
-        trusted.add([0.0, 1.0], "<=", 1.0, "r0")  # labels are tracked

@@ -77,10 +77,14 @@ def test_single_neuron_structure():
     scenario, cell = plain_scenario(net)
     problem = smc.build_encoding(scenario, cell, Polytope.box([-1, -1], [1, 1]))
     assert problem.num_neurons == 1
-    active = problem.branch_rows(0, True)
-    inactive = problem.branch_rows(0, False)
-    assert [label for _, _, _, label in active] == [("act_eq", 0), ("act_ge", 0)]
-    assert [label for _, _, _, label in inactive] == [("inact_eq", 0), ("inact_le", 0)]
+    active = problem.lp_for_assignment({0: True})
+    inactive = problem.lp_for_assignment({0: False})
+    relaxed = problem.lp_for_assignment({})
+    assert list(active.labels[-2:]) == [("act_eq", 0), ("act_ge", 0)]
+    assert list(inactive.labels[-2:]) == [("inact_eq", 0), ("inact_le", 0)]
+    assert list(relaxed.labels[-2:]) == [("rlx_pos", 0), ("rlx_ub", 0)]
+    assert list(active.eq[-2:]) == list(inactive.eq[-2:]) == [True, False]
+    assert not relaxed.eq[-2:].any()
 
 
 def test_constraint_count_on_demo_pair(demo_scenario):
@@ -92,10 +96,12 @@ def test_constraint_count_on_demo_pair(demo_scenario):
     m = demo_scenario.dynamics.m
     neurons = demo_scenario.controller.num_neurons
     expected = (cell_i.region.num_halfspaces + n + neurons + m)
-    assert len(problem.base_rows) == expected
-    assert len(problem.target_rows) == cell_j.region.num_halfspaces
-    equalities = [r for r in problem.base_rows if r[1] == "="]
-    assert len(equalities) == n + neurons + m  # expand to 2 rows each in <=-form
+    assert len(problem.base.rows) == expected
+    assert len(problem.target_rows.rows) == cell_j.region.num_halfspaces
+    assert problem.base.eq.sum() == n + neurons + m  # expand to 2 rows each in <=-form
+    lp = problem.lp_for_assignment({})
+    assert len(lp.rows) == expected + cell_j.region.num_halfspaces + 2 * neurons
+    assert lp.num_vars == problem.num_vars == 2 * n + m + 2 * neurons
 
 
 def test_contradictory_target_unsat():
