@@ -18,7 +18,16 @@ import numpy as np
 from . import graph as graph_mod
 from . import montecarlo, refine, render, verifier
 from .graph import UNSAFE, cell_node
-from .scenario import dump_scenario, load_scenario
+from .scenario import ScenarioError, dump_scenario, load_scenario
+
+# Library errors that end a command with a one-line message, not a traceback.
+ERRORS = {
+    montecarlo.MonteCarloError: "monte-carlo",
+    refine.RefinementError: "refinement",
+    graph_mod.GraphError: "graph",
+    ScenarioError: "scenario",
+    verifier.VerifierError: "verifier",
+}
 
 
 def _read(path):
@@ -246,8 +255,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except montecarlo.MonteCarloError as exc:
-        raise SystemExit(f"monte-carlo error: {exc}") from None
+    except tuple(ERRORS) as exc:
+        label = next(name for cls, name in ERRORS.items() if isinstance(exc, cls))
+        raise SystemExit(f"{label} error: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -36,12 +36,12 @@ from functools import cached_property
 import numpy as np
 
 from . import smc
-from .geometry import (Polytope, augmented_set, gaussian_quantile, is_empty_intersection,
-                       outside_facets)
+from .geometry import (GeometryError, Polytope, augmented_set, gaussian_quantile,
+                       is_empty_intersection, outside_facets)
 from .linprog import LpNumericalError
 from .scenario import scenario_sha256
 
-GRAPH_FORMAT = "relusafe-graph-v1"
+GRAPH_FORMAT = "relusafe-graph-v2"
 TOOL_VERSION = "0.1.0"
 # Outward padding of every reach box, against rounding in its interval bounds.
 REACH_BOX_INFLATE = 1e-9
@@ -57,6 +57,9 @@ class GraphChecksumError(GraphError):
 
 class GraphVersionError(GraphError):
     pass
+
+
+EDGE_METHODS = ("smc", "pruned", "unsafe", "fixed", "merged")
 
 
 @dataclass(frozen=True, order=True)
@@ -107,10 +110,13 @@ class Edge:
     """One weighted edge.  ``bound`` upper-bounds the transition probability.
 
     ``q_lo``/``q_hi`` are the final grid bracket (satisfiable /
-    unsatisfiable thresholds, replayable through :func:`relusafe.smc.solve`);
-    ``method`` is "smc" for bracketed pairs,
-    "pruned" for reach-box filtered pairs and "fixed" for the sink self-loop.
-    ``pieces`` carries the per-piece records of a sink edge.
+    unsatisfiable thresholds, replayable through :func:`relusafe.smc.solve`).
+    ``method`` is one of :data:`EDGE_METHODS`: "smc" for bracketed pairs,
+    "pruned" for reach-box filtered pairs, "unsafe" for the sink edge of a
+    cell, "fixed" for the sink self-loop and "merged" for the edge into a
+    target group that :mod:`relusafe.verifier` forms.  ``pieces`` carries
+    the per-piece records ``(region, bound, q_lo, q_hi, method)`` of a sink
+    edge, one per unsafe piece.
     """
 
     target: NodeId
@@ -329,14 +335,19 @@ def build_graph(scenario, dq, jobs=1):
 
 # --------------------------------------------------------------------------
 # Persistence: a one-line JSON header with a checksum over the payload bytes,
-# then the payload.  Bounds round-trip bit-exactly through repr-style floats.
+# then the payload.  Each edge is stored with every field of its Edge,
+# ``[source, target, bound, q_lo, q_hi, method, pieces]``, and each sink
+# piece as ``[A, b, bound, q_lo, q_hi, method]``, so a loaded graph is the
+# built one.  Floats round-trip bit-exactly through repr-style numbers.
 
 
 def save_graph(graph):
     payload = json.dumps({
         "nodes": [str(v) for v in graph.nodes],
         "edges": [
-            [str(source), str(e.target), e.bound]
+            [str(source), str(e.target), e.bound, e.q_lo, e.q_hi, e.method,
+             [[region.A.tolist(), region.b.tolist(), *record]
+              for region, *record in e.pieces]]
             for source in sorted(graph.edges)
             for e in graph.edges[source]
         ],
@@ -352,12 +363,36 @@ def save_graph(graph):
     return json.dumps(header) + "\n" + payload
 
 
-def load_graph(text, scenario=None):
-    """Parse a graph document, verifying version and checksum.
+def _method(text):
+    if text not in EDGE_METHODS:
+        raise GraphError(f"unknown edge method {text!r}")
+    return text
 
-    Loaded edges carry only (source, target, bound); bracket metadata is
-    not persisted.  Passing the owning scenario re-binds cell regions and
-    validates the scenario hash.
+
+def _edge_from_doc(entry):
+    """``(source, Edge)`` from one payload entry; raises :class:`GraphError`
+    on a malformed one."""
+    try:
+        src, tgt, bound, q_lo, q_hi, method, pieces = entry
+        pieces = tuple((Polytope(A, b), float(p_bound), float(p_lo), float(p_hi),
+                        _method(p_method))
+                       for A, b, p_bound, p_lo, p_hi, p_method in pieces)
+        return parse_node(src), Edge(parse_node(tgt), float(bound), float(q_lo),
+                                     float(q_hi), _method(method), pieces)
+    except (TypeError, ValueError, GeometryError) as exc:
+        raise GraphError(f"malformed edge entry: {exc}") from exc
+
+
+def load_graph(text, scenario):
+    """Parse a graph document written by :func:`save_graph` and bind it to
+    its scenario.
+
+    Verifies the format tag (:class:`GraphVersionError`; v1 documents are
+    rejected and must be rebuilt), the payload checksum
+    (:class:`GraphChecksumError`), the payload's structure and every edge
+    entry (:class:`GraphError`), and the scenario hash.  Every
+    :class:`Edge` field is restored, so the loaded graph behaves like the
+    built one.
     """
     head, sep, payload = text.partition("\n")
     if not sep:
@@ -366,24 +401,24 @@ def load_graph(text, scenario=None):
         header = json.loads(head)
     except json.JSONDecodeError as exc:
         raise GraphError(f"unparseable graph header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise GraphError("graph header must be a JSON object")
     if header.get("format") != GRAPH_FORMAT:
-        raise GraphVersionError(f"unsupported graph format {header.get('format')!r}")
+        raise GraphVersionError(f"unsupported graph format {header.get('format')!r}; "
+                                f"rebuild the graph as {GRAPH_FORMAT}")
     digest = hashlib.sha256(payload.encode()).hexdigest()
     if digest != header.get("payload_sha256"):
         raise GraphChecksumError("payload checksum mismatch (truncated or edited document)")
-    body = json.loads(payload)
+    try:
+        body = json.loads(payload)
+        nodes, entries = [parse_node(v) for v in body["nodes"]], list(body["edges"])
+        dq, floor = float(header["dq"]), float(header["q_threshold_floor"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise GraphError(f"malformed graph document: {exc!r}") from exc
     edges = {}
-    for src_text, tgt_text, bound in body["edges"]:
-        src, tgt = parse_node(src_text), parse_node(tgt_text)
-        method = "fixed" if src == UNSAFE else ("smc" if tgt != UNSAFE else "unsafe")
-        edges.setdefault(src, []).append(Edge(tgt, float(bound), method=method))
-    graph = TransitionGraph(
-        nodes=[parse_node(v) for v in body["nodes"]],
-        edges=edges,
-        dq=float(header["dq"]),
-        q_threshold_floor=float(header["q_threshold_floor"]),
-        scenario_sha256=header.get("scenario_sha256", ""),
-    )
-    if scenario is not None:
-        graph.bind_scenario(scenario)
-    return graph
+    for entry in entries:
+        src, edge = _edge_from_doc(entry)
+        edges.setdefault(src, []).append(edge)
+    graph = TransitionGraph(nodes=nodes, edges=edges, dq=dq, q_threshold_floor=floor,
+                            scenario_sha256=header.get("scenario_sha256", ""))
+    return graph.bind_scenario(scenario)

@@ -63,6 +63,19 @@ class RefinementResult:
     cell_map: tuple
 
 
+def _satisfiable_threshold(source, edge):
+    """``(q, region)``: the last satisfiable threshold of ``edge``, its
+    ``q_lo``, and None; for a sink edge, the ``q_lo`` and region of its
+    dominant (largest-bound) unsafe piece.  ``q == 0`` marks an edge at
+    the precision floor, which has no witness."""
+    if edge.target != UNSAFE:
+        return edge.q_lo, None
+    if not edge.pieces:
+        raise RefinementError(f"sink edge of {source} has no unsafe piece records")
+    region, _, q_lo, _, _ = max(edge.pieces, key=lambda rec: rec[1])
+    return q_lo, region
+
+
 def find_witness(scenario, graph, source, target):
     """The state of ``source`` whose successor lies deepest in ``target``,
     as ``(X, X_next)``.
@@ -75,24 +88,18 @@ def find_witness(scenario, graph, source, target):
     unsafe piece is used.  Raises :class:`StaleGraphError` when ``z*``
     falls short of the edge's last satisfiable threshold (the graph
     predates a scenario change), and :class:`RefinementError` for edges at
-    the precision floor, which never had a satisfiable threshold, or when
-    the slack LP fails numerically.
+    the precision floor, which never had a satisfiable threshold, for sink
+    edges without piece records, or when the slack LP fails numerically.
     """
     edge = graph.edge(source, target)
     if edge is None:
         raise RefinementError(f"no edge {source} -> {target}")
-    cell = scenario.partition[source.cells[0]]
-    if target == UNSAFE:
-        pieces = edge.pieces
-        if not pieces:
-            pieces = sink_edge(scenario, cell, graph.dq).pieces
-        region, bound, q_lo, _, _ = max(pieces, key=lambda rec: rec[1])
-        q = q_lo if q_lo > 0.0 else bound - graph.dq
-    else:
-        region = scenario.partition[target.cells[0]].region
-        q = edge.q_lo if edge.q_lo > 0.0 else edge.bound - graph.dq
+    q, region = _satisfiable_threshold(source, edge)
     if q <= 0.0:
         raise RefinementError(f"edge {source} -> {target} sits at the precision floor")
+    if region is None:
+        region = scenario.partition[target.cells[0]].region
+    cell = scenario.partition[source.cells[0]]
     sigma = scenario.dynamics.sigma
     z_star, x, x_next = max_slack(CellReach(scenario, cell).pieces, region, sigma)
     if z_star == np.inf:
@@ -242,7 +249,8 @@ def select_target(graph, bounds, k):
     """Pick the (cell, edge) most worth refining at horizon ``k``.
 
     Score is edge bound times the target's k-step bound times the source's
-    Chebyshev radius; edges without a replayable witness are skipped.
+    Chebyshev radius; edges at the precision floor, which have no witness
+    (:func:`find_witness`), are skipped.
     Deterministic: ties resolve to the smallest source, then target.
     """
     best = None
@@ -251,14 +259,7 @@ def select_target(graph, bounds, k):
         for edge in graph.edges[source]:
             if edge.target == source:
                 continue
-            if edge.target == UNSAFE:
-                witnessable = (any(rec[2] > 0.0 for rec in edge.pieces)
-                               if edge.pieces else edge.bound > graph.dq)
-            elif edge.method == "pruned":
-                witnessable = False
-            else:
-                witnessable = edge.q_lo > 0.0 or edge.bound > graph.dq
-            if not witnessable:
+            if _satisfiable_threshold(source, edge)[0] <= 0.0:
                 continue
             score = edge.bound * bounds.value(k, edge.target) * radius
             key = (-score, source, edge.target)

@@ -243,9 +243,6 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "partition", tuple(self.partition))
 
-    def cell(self, index):
-        return self.partition[index]
-
     @cached_property
     def _rank_table(self):
         """``(A, thresholds, strides, table)`` for the rank-table lookup, else None.

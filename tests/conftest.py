@@ -41,6 +41,12 @@ def demo_graph(demo_scenario):
 
 
 @pytest.fixture(scope="session")
+def loaded_demo_graph(demo_graph, demo_scenario):
+    """The demo graph after a save/load round trip."""
+    return graph_mod.load_graph(graph_mod.save_graph(demo_graph), demo_scenario)
+
+
+@pytest.fixture(scope="session")
 def demo_bounds(demo_graph, demo_scenario):
     return {mode: verifier.verify(demo_graph, demo_scenario,
                                   horizon=DEMO_HORIZON, p=0.01, mode=mode)

@@ -95,6 +95,34 @@ def test_refine_manual_needs_no_bounds(workdir, monkeypatch):
     assert len(graph.cell_nodes()) == 5
 
 
+def test_floor_edge_refinement_exits_with_message(workdir):
+    """Refining an edge at the precision floor ends in a one-line message,
+    not a traceback."""
+    with pytest.raises(SystemExit) as info:
+        cli.main(["refine", "--scenario", str(workdir / "scen.json"),
+                  "--graph", str(workdir / "graph.txt"),
+                  "--cell", "c0", "--target", "unsafe",
+                  "--out", f"{workdir}/scen4.json,{workdir}/graph4.txt"])
+    message = str(info.value.code)
+    assert message.startswith("refinement error: ") and "\n" not in message
+    assert "precision floor" in message
+
+
+def test_v1_graph_exits_with_message(workdir):
+    """A graph document in the retired v1 format is rejected with a one-line
+    message naming the format."""
+    head, _, payload = (workdir / "graph.txt").read_text().partition("\n")
+    (workdir / "graph_v1.txt").write_text(
+        head.replace(gr.GRAPH_FORMAT, "relusafe-graph-v1") + "\n" + payload)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "--graph", str(workdir / "graph_v1.txt"),
+                  "--scenario", str(workdir / "scen.json"),
+                  "--horizon", "2", "--out", str(workdir / "bounds_v1.csv")])
+    message = str(info.value.code)
+    assert message.startswith("graph error: ") and "\n" not in message
+    assert "relusafe-graph-v1" in message
+
+
 def test_compare_report(workdir):
     out = workdir / "report.csv"
     code = cli.main(["compare", "--scenario", str(workdir / "scen.json"),

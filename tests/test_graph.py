@@ -3,6 +3,7 @@ driven by the reach-query oracle, pruning guarantees, unsafe-edge
 decomposition, build structure, and document persistence."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -298,28 +299,116 @@ def test_halving_dq_never_loosens(small_scenario):
     assert fine <= coarse + 1e-12
 
 
+def assert_same_graph(loaded, built):
+    """Every node, header field and edge field of ``built`` is in ``loaded``,
+    bit for bit; sink pieces are compared by their region's ``A`` and ``b``
+    and their record fields."""
+    assert loaded.nodes == built.nodes
+    assert (loaded.dq, loaded.q_threshold_floor, loaded.scenario_sha256) == \
+        (built.dq, built.q_threshold_floor, built.scenario_sha256)
+    assert list(loaded.edges) == list(built.edges)
+    for source, row in built.edges.items():
+        assert len(loaded.edges[source]) == len(row)
+        for again, e in zip(loaded.edges[source], row):
+            assert (again.target, again.bound, again.q_lo, again.q_hi, again.method) == \
+                (e.target, e.bound, e.q_lo, e.q_hi, e.method)
+            assert len(again.pieces) == len(e.pieces)
+            for (region2, *rec2), (region, *rec) in zip(again.pieces, e.pieces):
+                assert rec2 == rec
+                np.testing.assert_array_equal(region2.A, region.A)
+                np.testing.assert_array_equal(region2.b, region.b)
+    assert loaded.regions == built.regions
+    np.testing.assert_array_equal(loaded.sigma, built.sigma)
+
+
 def test_save_load_roundtrip(small_graph, small_scenario):
     doc = gr.save_graph(small_graph)
-    again = gr.load_graph(doc, small_scenario)
-    assert again.dq == small_graph.dq
-    assert again.q_threshold_floor == small_graph.q_threshold_floor
-    for v in small_graph.edges:
-        for e in small_graph.edges[v]:
-            assert again.edge(v, e.target).bound == e.bound  # bit exact
+    assert_same_graph(gr.load_graph(doc, small_scenario), small_graph)
 
 
-def test_truncated_document_fails_checksum(small_graph):
+def test_save_load_roundtrip_demo(loaded_demo_graph, demo_graph):
+    assert any(e.pieces for e in demo_graph.edges[gr.cell_node(0)])
+    assert_same_graph(loaded_demo_graph, demo_graph)
+
+
+def test_truncated_document_fails_checksum(small_graph, small_scenario):
     doc = gr.save_graph(small_graph)
     with pytest.raises(gr.GraphChecksumError):
-        gr.load_graph(doc[: len(doc) // 2])
+        gr.load_graph(doc[: len(doc) // 2], small_scenario)
 
 
-def test_version_mismatch_rejected(small_graph):
+def test_version_mismatch_rejected(small_graph, small_scenario):
     doc = gr.save_graph(small_graph)
     head, _, payload = doc.partition("\n")
     bad = head.replace(gr.GRAPH_FORMAT, "relusafe-graph-v999") + "\n" + payload
     with pytest.raises(gr.GraphVersionError):
-        gr.load_graph(bad)
+        gr.load_graph(bad, small_scenario)
+
+
+def resigned(doc, edit, **header_fields):
+    """``doc`` with ``edit`` applied in place to its edge entries and
+    ``header_fields`` set, under a recomputed payload checksum."""
+    head, _, payload = doc.partition("\n")
+    header, body = json.loads(head), json.loads(payload)
+    edit(body["edges"])
+    payload = json.dumps(body, indent=0)
+    header.update(header_fields, payload_sha256=hashlib.sha256(payload.encode()).hexdigest())
+    return json.dumps(header) + "\n" + payload
+
+
+def v1_projection(doc):
+    """The document the v1 format wrote for the same graph: the header under
+    the v1 tag, and ``(source, target, bound)`` triples."""
+    def to_triples(edges):
+        edges[:] = [entry[:3] for entry in edges]
+    return resigned(doc, to_triples, format="relusafe-graph-v1")
+
+
+def test_v1_document_rejected(small_graph, small_scenario):
+    with pytest.raises(gr.GraphVersionError, match="relusafe-graph-v1"):
+        gr.load_graph(v1_projection(gr.save_graph(small_graph)), small_scenario)
+
+
+def unknown_method(edges):
+    edges[0][5] = "bisected"
+
+
+def short_entry(edges):
+    del edges[0][3:]
+
+
+def unknown_piece_method(edges):
+    sink = next(entry for entry in edges if entry[5] == "unsafe")
+    sink[6][0][5] = "bisected"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (unknown_method, "unknown edge method"),
+    (short_entry, "malformed edge entry"),
+    (unknown_piece_method, "unknown edge method"),
+])
+def test_load_rejects_bad_edge_entry(small_graph, small_scenario, edit, message):
+    doc = gr.save_graph(small_graph)
+    # Re-signing an unedited payload gives the same document.
+    assert resigned(doc, lambda edges: None) == doc
+    with pytest.raises(gr.GraphError, match=message):
+        gr.load_graph(resigned(doc, edit), small_scenario)
+
+
+@pytest.mark.parametrize("payload", ['{"nodes": []}', '{"nodes": [], "edges": 5}',
+                                     "not json", "[]"])
+def test_load_rejects_malformed_payload(small_graph, small_scenario, payload):
+    """A payload that passes its checksum but is not a graph body."""
+    header = json.loads(gr.save_graph(small_graph).partition("\n")[0])
+    header["payload_sha256"] = hashlib.sha256(payload.encode()).hexdigest()
+    with pytest.raises(gr.GraphError, match="malformed graph document"):
+        gr.load_graph(json.dumps(header) + "\n" + payload, small_scenario)
+
+
+def test_load_rejects_non_object_header(small_graph, small_scenario):
+    payload = gr.save_graph(small_graph).partition("\n")[2]
+    with pytest.raises(gr.GraphError, match="JSON object"):
+        gr.load_graph("[]\n" + payload, small_scenario)
 
 
 def test_dq_recorded_in_header(small_scenario):
@@ -365,12 +454,16 @@ def test_parallel_build_matches_serial(small_scenario):
             assert twin.bound == e.bound and twin.q_lo == e.q_lo
 
 
-@pytest.mark.parametrize("fixture, digest", [
-    ("demo_graph", "9b1317cc90aea2cece19f9a143da8f1849892c46e81d64a8182e2e445af97794"),
-    ("small_graph", "0da4221cf010fdf9aa2eb86b8da7e2179a8033a3d09744dbbfb32982db80b1d7"),
+@pytest.mark.parametrize("fixture, v1_digest, digest", [
+    ("demo_graph", "9b1317cc90aea2cece19f9a143da8f1849892c46e81d64a8182e2e445af97794",
+     "bb0499975f07235b0406cd1903002b3d51c6f2e993ebe6a28d71e074e2f46dc1"),
+    ("small_graph", "0da4221cf010fdf9aa2eb86b8da7e2179a8033a3d09744dbbfb32982db80b1d7",
+     "744961d8e97c1b736dcdbbebec578b309a04601bf64ba091c0b2ac4142b8d6c1"),
 ])
-def test_saved_graph_bytes_pinned(request, fixture, digest):
+def test_saved_graph_bytes_pinned(request, fixture, v1_digest, digest):
     """Every bound follows from sat/unsat verdicts alone; a solver change that
-    keeps every verdict keeps these bytes."""
+    keeps every verdict keeps these bytes.  The document's v1 projection,
+    ``(source, target, bound)`` triples, keeps the digest the v1 format had."""
     doc = gr.save_graph(request.getfixturevalue(fixture))
+    assert hashlib.sha256(v1_projection(doc).encode()).hexdigest() == v1_digest
     assert hashlib.sha256(doc.encode()).hexdigest() == digest

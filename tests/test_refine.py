@@ -307,7 +307,8 @@ def test_select_target_prefers_dominant_unsafe_edge():
     region = Polytope.box([0, 0], [2, 2])
     edges = {
         gr.cell_node(0): [gr.Edge(gr.cell_node(1), 0.1, q_lo=0.05),
-                          gr.Edge(gr.UNSAFE, 0.9, q_lo=0.85, method="unsafe")],
+                          gr.Edge(gr.UNSAFE, 0.9, method="unsafe", pieces=(
+                              (Polytope([[-1.0, 0.0]], [0.0]), 0.9, 0.85, 0.9, "smc"),))],
         gr.cell_node(1): [gr.Edge(gr.cell_node(0), 0.1, q_lo=0.05)],
         gr.UNSAFE: [gr.Edge(gr.UNSAFE, 1.0)],
     }
@@ -323,6 +324,38 @@ def test_select_target_prefers_dominant_unsafe_edge():
     ])
     source, edge = rf.select_target(graph, bounds, k=1)
     assert edge.target == gr.UNSAFE
+
+
+def test_find_witness_rejects_sink_edge_without_pieces(refinable):
+    scenario, graph, _ = refinable
+    source = graph.cell_nodes()[0]
+    edges = dict(graph.edges)
+    edges[source] = [replace(e, pieces=()) if e.target == gr.UNSAFE else e
+                     for e in graph.edges[source]]
+    bare = replace(graph, edges=edges)
+    with pytest.raises(rf.RefinementError, match="no unsafe piece records"):
+        rf.find_witness(scenario, bare, source, gr.UNSAFE)
+
+
+def test_loaded_graph_selects_and_refines_like_the_built_one(
+        demo_scenario, demo_graph, demo_bounds, loaded_demo_graph):
+    """From its own bounds, the loaded demo graph picks the built graph's
+    split at k = 6 and 9, and refining it writes the same bytes."""
+    bounds = demo_bounds["merge+tpn"]
+    loaded_bounds = vf.verify(loaded_demo_graph, demo_scenario, horizon=bounds.horizon,
+                              p=bounds.merge_p, mode="merge+tpn")
+
+    def choice(graph, bounds, k):
+        source, edge = rf.select_target(graph, bounds, k=k)
+        return source, edge.target, edge.bound, edge.q_lo, edge.q_hi, edge.method
+
+    for k in (6, 9):
+        assert choice(loaded_demo_graph, loaded_bounds, k) == choice(demo_graph, bounds, k)
+    source, edge = rf.select_target(demo_graph, bounds, k=6)
+    built = rf.refine_cell(demo_scenario, demo_graph, None, source, edge.target)
+    loaded = rf.refine_cell(demo_scenario, loaded_demo_graph, None, source, edge.target)
+    assert built.plan.committed
+    assert gr.save_graph(loaded.graph) == gr.save_graph(built.graph)
 
 
 def test_select_target_deterministic(demo_graph, demo_bounds):

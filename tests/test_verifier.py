@@ -291,17 +291,28 @@ DEMO_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("mode", vf.MODES)
-def test_demo_bounds_and_merges_pinned(demo_bounds, demo_scenario, mode):
-    bounds = demo_bounds[mode]
+def assert_demo_digests(bounds, scenario, mode):
     csv_digest, num_merges, merge_digest = DEMO_DIGESTS[mode]
-    assert hashlib.sha256(vf.bounds_to_csv(bounds, demo_scenario).encode()).hexdigest() \
+    assert hashlib.sha256(vf.bounds_to_csv(bounds, scenario).encode()).hexdigest() \
         == csv_digest
     lines = [f"{r.horizon} {r.owner} {r.members[0]} {r.members[1]} {r.merged} "
              f"{r.new_bound!r}" for r in bounds.merges]
     assert len(lines) == num_merges
     if lines:
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == merge_digest
+
+
+@pytest.mark.parametrize("mode", vf.MODES)
+def test_demo_bounds_and_merges_pinned(demo_bounds, demo_scenario, mode):
+    assert_demo_digests(demo_bounds[mode], demo_scenario, mode)
+
+
+@pytest.mark.parametrize("mode", vf.MODES)
+def test_loaded_demo_graph_bounds_pinned(loaded_demo_graph, demo_scenario, mode):
+    """A graph loaded from its saved document verifies to the same bounds
+    and merges as the built one."""
+    bounds = vf.verify(loaded_demo_graph, demo_scenario, horizon=9, p=0.01, mode=mode)
+    assert_demo_digests(bounds, demo_scenario, mode)
 
 
 def reference_merge_owner(row, p, bounds_k, regions, sigma):
