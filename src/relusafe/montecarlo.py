@@ -96,6 +96,9 @@ def simulate_batch(scenario, x0s, k, seed, base_index=1):
     noise = stream(seed, base_index).normal(size=(k, N, n)) * dyn.sigma
     Cs = np.stack([cell.C for cell in scenario.partition])
     cs = np.stack([cell.c for cell in scenario.partition])
+    # One measurement map for every cell (as in generated scenarios): one
+    # matrix product per step, with no per-trajectory gather.
+    shared = bool(np.all(Cs == Cs[0]) and np.all(cs == cs[0]))
 
     states = np.empty((N, k + 1, n))
     states[:, 0] = x0s
@@ -108,8 +111,11 @@ def simulate_batch(scenario, x0s, k, seed, base_index=1):
         u = np.zeros((N, dyn.m))
         live = cell_idx >= 0
         if np.any(live):
-            c = cell_idx[live]
-            d = np.einsum("ipn,in->ip", Cs[c], x[live]) + cs[c]
+            if shared:
+                d = x[live] @ Cs[0].T + cs[0]
+            else:
+                c = cell_idx[live]
+                d = np.einsum("ipn,in->ip", Cs[c], x[live]) + cs[c]
             u[live] = nn_forward_batch(scenario.controller, d)
         x_next = x @ dyn.A.T + u @ dyn.B.T + noise[t]
         x_next[~live] = x[~live]  # no measurement map: hold position

@@ -23,10 +23,14 @@ the max over members, enters the recursion.
 Merging needs a threshold ``p`` in (0, 0.5), the range of the union-bound
 argument above.  ``verify`` decides the separation of every pair of cells
 once per call (by intervals for pairs of box cells, by one emptiness LP for
-each pair they leave undecided), then merges each owner's row on its own:
-owners do not interact within a horizon step, so one greedy pass per owner
-reaches the fixpoint.  The greedy step works on arrays over the row
-(bounds, node values, group separation, pair slack).
+each pair they leave undecided) and stacks every owner's row once on the
+arrays of a :class:`~relusafe.rowstack.RowStack`.  Owners do not interact
+within a horizon step, so each step reads the node values once and runs
+the greedy merge of all owners in lockstep, one merge per owner and round,
+in blocks of owners under a fixed budget of target pairs; the plain and
+normalized sums then read every row off the same arrays.  ``naive_step``,
+``tpn_step`` and ``merge_pass`` run the same code on a stack of all rows or
+of one.
 """
 
 from __future__ import annotations
@@ -34,27 +38,19 @@ from __future__ import annotations
 import copy
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .geometry import augmented_set, box_pairs, is_empty_intersection, unsafe_overlaps
-from .graph import UNSAFE, Edge, NodeId, cell_node, merged_node
+from .graph import UNSAFE, cell_node
+from .rowstack import MergeRecord, RowStack  # MergeRecord: verify's records, re-exported
 
 MODES = ("naive", "merge", "tpn", "merge+tpn")
 
 
 class VerifierError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class MergeRecord:
-    owner: NodeId
-    members: tuple        # the two replaced target nodes
-    merged: NodeId
-    new_bound: float
-    horizon: int
 
 
 @dataclass
@@ -91,48 +87,6 @@ def init_p0(scenario):
     return bounds
 
 
-def _naive_value(row, bounds_k):
-    total = sum(e.bound * node_bound(bounds_k, e.target) for e in row)
-    return min(1.0, max(0.0, total))
-
-
-def _tpn_value(row, bounds_k):
-    mass = sum(e.bound for e in row)
-    if mass <= 1.0:
-        return _naive_value(row, bounds_k)
-    ranked = sorted(
-        ((node_bound(bounds_k, e.target), e.target, e.bound) for e in row),
-        key=lambda item: (item[0], item[1].kind, item[1].cells),
-    )
-    n = len(ranked)
-    # Largest suffix of worst-ranked targets whose edge mass still fits in 1.
-    suffix = 0.0
-    m_hat = n  # 1-indexed position whose bound absorbs the leftover mass
-    for i in range(n - 1, 0, -1):
-        if suffix + ranked[i][2] > 1.0:
-            break
-        suffix += ranked[i][2]
-        m_hat = i
-    m_hat -= 1  # index of kappa(m_hat) in 0-based terms
-    value = sum(pk * w for pk, _, w in ranked[m_hat + 1:])
-    value += (1.0 - suffix) * ranked[m_hat][0]
-    return min(1.0, max(0.0, value))
-
-
-def naive_step(graph, bounds_k):
-    """Plain weighted-sum propagation, clamped to [0, 1]."""
-    out = {v: _naive_value(graph.edges[v], bounds_k) for v in graph.cell_nodes()}
-    out[UNSAFE] = 1.0
-    return out
-
-
-def tpn_step(graph, bounds_k):
-    """Normalized propagation; falls back to the plain sum at mass <= 1."""
-    out = {v: _tpn_value(graph.edges[v], bounds_k) for v in graph.cell_nodes()}
-    out[UNSAFE] = 1.0
-    return out
-
-
 def _check_merge_p(p):
     if not (0.0 < p < 0.5):
         raise VerifierError("merge threshold p must lie in (0, 0.5)")
@@ -158,80 +112,27 @@ def _separation(graph, p, cells):
     return sep
 
 
-def _group_separation(sep, groups):
-    """``G[i, j]``: every cell of group i is separated from every cell of group j."""
-    flat = [c for g in groups for c in g]
-    starts = np.cumsum([0] + [len(g) for g in groups[:-1]])
-    cell_level = sep[np.ix_(flat, flat)]
-    return np.logical_and.reduceat(np.logical_and.reduceat(cell_level, starts, axis=0),
-                                   starts, axis=1)
+def naive_step(graph, bounds_k):
+    """Plain weighted-sum propagation, clamped to [0, 1]."""
+    return _propagate(graph, bounds_k, normalize=False)
 
 
-def _union_bound(bx, by, p):
-    """Edge bound of the virtual union of two separated targets."""
-    return np.minimum(1.0, np.maximum(np.maximum(bx, by) + p, 2.0 * p))
+def tpn_step(graph, bounds_k):
+    """Normalized propagation; falls back to the plain sum at mass <= 1."""
+    return _propagate(graph, bounds_k, normalize=True)
 
 
-def _pair_slack(bx, vx, by, vy, p):
-    """Drop of the owner's propagated sum when targets x and y are merged."""
-    return bx * vx + by * vy - _union_bound(bx, by, p) * np.maximum(vx, vy)
+def _node_values(stack, bounds_k):
+    return [node_bound(bounds_k, node) for node in stack.nodes]
 
 
-def _merge_owner(row, owner, p, bounds_k, sep, horizon):
-    """Greedy merging of one owner's targets to a local fixpoint.
-
-    ``row`` is mutated in place; ``sep`` is the cell separation matrix of
-    :func:`_separation`.  A candidate pair must have separated groups and a
-    strictly positive slack (a strict improvement of the owner's propagated
-    sum).  The largest slack is applied first; ties go to the larger
-    ``(target_x, target_y)``, x before y in row order.  The merged edge goes to
-    the end of the row.  Returns the merge records.
-
-    Every target, original or merged, owns one slot of the arrays: bound
-    ``b``, node value ``v`` (max over members), group separation ``G`` (False
-    for the unsafe sink and for replaced targets) and pair slack.  Merged
-    targets take fresh slots in creation order, so slot order is row order.
-    """
-    n = len(row)
-    targets = [e.target for e in row]
-    groups = [i for i, t in enumerate(targets) if t.kind != "unsafe"]
-    if len(groups) < 2:
-        return []
-    size = 2 * n - 1
-    b = np.zeros(size)
-    v = np.zeros(size)
-    b[:n] = [e.bound for e in row]
-    v[:n] = [node_bound(bounds_k, t) for t in targets]
-    G = np.zeros((size, size), dtype=bool)
-    G[np.ix_(groups, groups)] = _group_separation(sep, [targets[i].cells for i in groups])
-    slack = _pair_slack(b[:, None], v[:, None], b, v, p)
-    upper = np.triu(np.ones((size, size), dtype=bool), 1)
-    slots = list(range(n))    # row position -> slot
-    records = []
-    while True:
-        score = np.where(G, slack, -np.inf)
-        best = score.max()
-        if not best > 0.0:
-            return records
-        ties = zip(*np.nonzero((score == best) & upper))
-        x, y = max(ties, key=lambda xy: (targets[xy[0]], targets[xy[1]]))
-        z = len(targets)
-        node = merged_node(targets[x].cells + targets[y].cells)
-        new_bound = float(_union_bound(b[x], b[y], p))
-        b[z] = new_bound
-        v[z] = max(v[x], v[y])
-        G[z] = G[:, z] = G[x] & G[y]
-        G[[x, y]] = False
-        G[:, [x, y]] = False
-        slack[z] = slack[:, z] = _pair_slack(b, v, b[z], v[z], p)
-        targets.append(node)
-        del row[slots.index(y)], row[slots.index(x)]
-        slots.remove(x)
-        slots.remove(y)
-        slots.append(z)
-        row.append(Edge(target=node, bound=new_bound, method="merged"))
-        records.append(MergeRecord(owner=owner, members=(targets[x], targets[y]),
-                                   merged=node, new_bound=new_bound, horizon=horizon))
+def _propagate(graph, bounds_k, normalize):
+    cells = graph.cell_nodes()
+    stack = RowStack(cells, [graph.edges[v] for v in cells])
+    values, _ = stack.step(_node_values(stack, bounds_k), normalize)
+    out = dict(zip(cells, values))
+    out[UNSAFE] = 1.0
+    return out
 
 
 def merge_pass(graph, owner, p, bounds_k):
@@ -239,16 +140,19 @@ def merge_pass(graph, owner, p, bounds_k):
 
     The graph must carry cell regions and the noise vector (see
     ``TransitionGraph.bind_scenario``).  Merged target nodes get no outgoing
-    edges; their safety bound is the max over members.
+    edges; their safety bound is the max over members.  Surviving edges
+    keep their row order, and each merged edge goes to the end of the row.
     """
     _check_merge_p(p)
     if graph.sigma is None or not graph.regions:
         raise VerifierError("graph lacks scenario bindings; call bind_scenario first")
+    row = graph.edges[owner]
+    stack = RowStack([owner], [row])
+    sep = stack.separation(_separation(graph, p, {c for e in row for c in e.target.cells}))
+    (merged,), records = stack.merge_rows(_node_values(stack, bounds_k), sep, p)
     new_graph = copy.copy(graph)
     new_graph.edges = {v: list(r) for v, r in graph.edges.items()}
-    row = new_graph.edges[owner]
-    sep = _separation(new_graph, p, {c for e in row for c in e.target.cells})
-    records = _merge_owner(row, owner, p, bounds_k, sep, horizon=0)
+    new_graph.edges[owner] = merged
     for rec in records:
         if rec.merged not in new_graph.nodes:
             new_graph.nodes = list(new_graph.nodes) + [rec.merged]
@@ -260,9 +164,11 @@ def verify(graph, scenario, horizon, p=0.01, mode="merge+tpn"):
 
     Modes: "naive" (plain sum), "merge" (merging + plain sum), "tpn"
     (normalized sum), "merge+tpn" (both).  The merge modes need
-    ``0 < p < 0.5``; the others ignore ``p``.  Each horizon step copies the
-    original graph, merges each owner's row to its fixpoint where enabled,
-    then propagates for every original cell.
+    ``0 < p < 0.5``; the others ignore ``p``.  Each horizon step starts from
+    the original rows, merges every owner's row to its fixpoint where
+    enabled, then propagates for every original cell.  A step is a function
+    of the previous step's bounds alone, so once two consecutive horizons
+    agree on every node the later steps repeat the last one, and are copied.
     """
     if mode not in MODES:
         raise VerifierError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -273,28 +179,32 @@ def verify(graph, scenario, horizon, p=0.01, mode="merge+tpn"):
         _check_merge_p(p)
     if graph.sigma is None or not graph.regions:
         graph.bind_scenario(scenario)
-    value_fn = _tpn_value if mode in ("tpn", "merge+tpn") else _naive_value
+    normalize = mode in ("tpn", "merge+tpn")
 
     per_k = [init_p0(scenario)]
     merges = []
     cells = graph.cell_nodes()
+    stack = RowStack(cells, [graph.edges[v] for v in cells])
+    sep = None
     if do_merge and horizon > 0:
-        sep = _separation(graph, p, [v.cells[0] for v in cells])
+        sep = stack.separation(_separation(graph, p, [v.cells[0] for v in cells]))
+    # A cell that can already be unsafe at step zero stays at one: some of
+    # its states have hit the unsafe set before any transition, and the
+    # within-horizon event only accumulates.
+    pinned = [per_k[0][v] >= 1.0 for v in cells]
+    records = []
     for k in range(1, horizon + 1):
         prev = per_k[-1]
-        work = {v: list(graph.edges[v]) for v in cells}
-        if do_merge:
-            # Owners do not interact within a step: each row reaches its
-            # fixpoint in one call.
-            for owner in cells:
-                merges.extend(_merge_owner(work[owner], owner, p, prev, sep, horizon=k))
-        # A cell that can already be unsafe at step zero stays at one: some
-        # of its states have hit the unsafe set before any transition, and
-        # the within-horizon event only accumulates.
-        new = {v: 1.0 if per_k[0][v] >= 1.0 else value_fn(work[v], prev)
-               for v in cells}
-        new[UNSAFE] = 1.0
-        per_k.append(new)
+        if k > 1 and prev == per_k[-2]:
+            per_k.append(dict(prev))
+            records = [replace(rec, horizon=k) for rec in records]
+        else:
+            values, records = stack.step(_node_values(stack, prev), normalize, sep, p,
+                                         horizon=k)
+            new = {v: 1.0 if pin else value for v, pin, value in zip(cells, pinned, values)}
+            new[UNSAFE] = 1.0
+            per_k.append(new)
+        merges.extend(records)
     return SafetyBounds(horizon=horizon, merge_p=p if do_merge else None,
                         mode=mode, per_k=per_k, merges=merges)
 

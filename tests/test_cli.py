@@ -152,6 +152,28 @@ def test_compare_report(workdir):
         assert r["mc_estimate"] == repr(est.hit_fraction)
 
 
+@pytest.mark.parametrize("missing", ["--scenario", "--graph"])
+def test_missing_input_file_exits_with_message(workdir, missing):
+    """A path that does not exist ends in a one-line message, not a traceback."""
+    paths = {"--scenario": str(workdir / "scen.json"), "--graph": str(workdir / "graph.txt")}
+    paths[missing] = str(workdir / "missing.txt")
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", *[x for kv in paths.items() for x in kv],
+                  "--horizon", "2", "--out", str(workdir / "bounds_missing.csv")])
+    message = str(info.value.code)
+    assert message.startswith("file error: ") and "\n" not in message
+    assert "missing.txt" in message
+
+
+def test_unwritable_output_exits_with_message(workdir):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "--graph", str(workdir / "graph.txt"),
+                  "--scenario", str(workdir / "scen.json"), "--horizon", "1",
+                  "--out", str(workdir / "no_such_dir" / "bounds.csv")])
+    message = str(info.value.code)
+    assert message.startswith("file error: ") and "\n" not in message
+
+
 def test_unknown_cell_rejected(workdir):
     with pytest.raises(SystemExit):
         cli.main(["simulate", "--scenario", str(workdir / "scen.json"),

@@ -6,7 +6,7 @@ import pytest
 
 from relusafe import montecarlo as mc
 from relusafe import scenario as sc
-from relusafe.geometry import Polytope
+from relusafe.geometry import STRICT_MARGIN, Polytope
 
 
 def test_same_seed_same_trajectory(demo_scenario):
@@ -241,3 +241,53 @@ def test_bound_truth_gap_widens_with_horizon(demo_scenario, demo_bounds):
         frac = float(np.mean(first_hit <= k))
         gaps.append(bounds.per_k[k][cell_node(12)] - frac)
     assert gaps[0] <= gaps[1] <= gaps[2]
+
+
+def reference_batch(scenario, x0s, k, seed):
+    """simulate_batch with each live state's measurement map gathered from
+    its own cell at every step."""
+    dyn, ws = scenario.dynamics, scenario.workspace
+    noise = mc.stream(seed, 1).normal(size=(k, len(x0s), dyn.n)) * dyn.sigma
+    Cs = np.stack([cell.C for cell in scenario.partition])
+    cs = np.stack([cell.c for cell in scenario.partition])
+
+    def unsafe(x, idx):
+        return ((idx < 0) | np.any(x @ ws.domain.A.T - ws.domain.b > STRICT_MARGIN, axis=1)
+                | ws.in_obstacle_many(x))
+
+    x = np.array(x0s, dtype=float)
+    states, idx = [x], scenario.cell_index_many(x)
+    first_hit = np.where(unsafe(x, idx), 0, k + 1)
+    for t in range(k):
+        live = idx >= 0
+        u = np.zeros((len(x), dyn.m))
+        if np.any(live):
+            d = np.einsum("ipn,in->ip", Cs[idx[live]], x[live]) + cs[idx[live]]
+            u[live] = sc.nn_forward_batch(scenario.controller, d)
+        step = x @ dyn.A.T + u @ dyn.B.T + noise[t]
+        step[~live] = x[~live]
+        x = step
+        states.append(x)
+        idx = scenario.cell_index_many(x)
+        first_hit = np.where(unsafe(x, idx) & (first_hit > t + 1), t + 1, first_hit)
+    return np.stack(states, axis=1), first_hit
+
+
+def test_measurement_maps_match_per_cell_reference(demo_scenario, small_scenario):
+    """Generated scenarios share one measurement map, applied by one matrix
+    product per step; states and first hits equal the per-cell gather bit
+    for bit.  A partition with one different map still uses each cell's own."""
+    cell = demo_scenario.partition[12]
+    mixed = sc.Scenario(dynamics=demo_scenario.dynamics, controller=demo_scenario.controller,
+                        workspace=demo_scenario.workspace,
+                        partition=demo_scenario.partition[:12] + (sc.PartitionCell(
+                            id=cell.id, region=cell.region, C=2.0 * cell.C, c=cell.c + 0.5),)
+                        + demo_scenario.partition[13:])
+    for scenario in (demo_scenario, small_scenario, mixed):
+        for index in range(0, scenario.num_cells, 4):
+            starts = mc.sample_in_polytope(scenario.partition[index].region, 300,
+                                           mc.stream(index, 0))
+            states, first_hit = mc.simulate_batch(scenario, starts, 9, seed=index)
+            want_states, want_hit = reference_batch(scenario, starts, 9, seed=index)
+            assert np.array_equal(states, want_states)
+            assert np.array_equal(first_hit, want_hit)

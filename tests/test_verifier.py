@@ -2,14 +2,17 @@
 mode dominance, and CSV round trips."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from relusafe import graph as gr
+from relusafe import rowstack
 from relusafe import scenario as sc
 from relusafe import verifier as vf
 from relusafe.geometry import Polytope
+from tests.conftest import DEMO_OBSTACLE
 
 
 def edge(i, bound):
@@ -374,3 +377,212 @@ def test_merge_pass_matches_scalar_reference(rng):
             assert [(r.members[0], r.members[1], r.merged, r.new_bound)
                     for r in records] == want
             assert graph.edges[owner] == want_row
+
+
+@pytest.mark.parametrize("mode", vf.MODES)
+def test_small_blocks_reproduce_demo_digests(demo_graph, demo_scenario, monkeypatch, mode):
+    """Blocks of two owners merge and propagate like one block of all 25
+    (each owner scores its 26 * 25 / 2 target pairs and one sentinel)."""
+    monkeypatch.setattr(rowstack, "_PAIR_BUDGET", 2 * (26 * 25 // 2 + 1))
+    bounds = vf.verify(demo_graph, demo_scenario, horizon=9, p=0.01, mode=mode)
+    assert_demo_digests(bounds, demo_scenario, mode)
+
+
+# --------------------------------------------------------------------------
+# verify's lockstep merging against the per-owner scalar reference.
+
+
+def reference_naive_value(row, bounds_k):
+    total = sum(e.bound * vf.node_bound(bounds_k, e.target) for e in row)
+    return min(1.0, max(0.0, total))
+
+
+def reference_tpn_value(row, bounds_k):
+    mass = sum(e.bound for e in row)
+    if mass <= 1.0:
+        return reference_naive_value(row, bounds_k)
+    ranked = sorted(
+        ((vf.node_bound(bounds_k, e.target), e.target, e.bound) for e in row),
+        key=lambda item: (item[0], item[1].kind, item[1].cells),
+    )
+    n = len(ranked)
+    # Largest suffix of worst-ranked targets whose edge mass still fits in 1.
+    suffix = 0.0
+    m_hat = n  # 1-indexed position whose bound absorbs the leftover mass
+    for i in range(n - 1, 0, -1):
+        if suffix + ranked[i][2] > 1.0:
+            break
+        suffix += ranked[i][2]
+        m_hat = i
+    m_hat -= 1  # index of kappa(m_hat) in 0-based terms
+    value = sum(pk * w for pk, _, w in ranked[m_hat + 1:])
+    value += (1.0 - suffix) * ranked[m_hat][0]
+    return min(1.0, max(0.0, value))
+
+
+def reference_verify(graph, scenario, horizon, p, mode):
+    """Step by step: each owner's row merged on its own by
+    reference_merge_owner, then valued by the scalar formulas."""
+    merge = mode in ("merge", "merge+tpn")
+    value = reference_tpn_value if mode in ("tpn", "merge+tpn") else reference_naive_value
+    per_k = [vf.init_p0(scenario)]
+    records = []
+    for k in range(1, horizon + 1):
+        prev, new = per_k[-1], {gr.UNSAFE: 1.0}
+        for owner in graph.cell_nodes():
+            row = graph.edges[owner]
+            if merge:
+                row, merged = reference_merge_owner(row, p, prev, graph.regions, graph.sigma)
+                records += [(k, owner, *m) for m in merged]
+            new[owner] = 1.0 if per_k[0][owner] >= 1.0 else value(row, prev)
+        per_k.append(new)
+    return per_k, records
+
+
+def record_tuples(records):
+    return [(r.horizon, r.owner, r.members[0], r.members[1], r.merged, r.new_bound)
+            for r in records]
+
+
+@pytest.fixture()
+def cached_emptiness(monkeypatch):
+    """Memoize the reference's pairwise emptiness LPs by polytope data."""
+    from relusafe import geometry
+    real, cache = geometry.is_empty_intersection, {}
+
+    def cached(a, b):
+        key = (a.A.tobytes(), a.b.tobytes(), b.A.tobytes(), b.b.tobytes())
+        if key not in cache:
+            cache[key] = real(a, b)
+        return cache[key]
+
+    monkeypatch.setattr(geometry, "is_empty_intersection", cached)
+
+
+@pytest.fixture(scope="module")
+def grid4():
+    """4x4 grid whose four corner cells and one inner cell are pinned unsafe:
+    far-apart targets of equal value, so equal bounds give equal slacks."""
+    corners = [((x, y), (x + 0.5, y + 0.5)) for x in (0.5, 9.0) for y in (0.5, 9.0)]
+    return sc.make_demo_scenario(4, [6, 4], seed=3, obstacles=corners + [DEMO_OBSTACLE])
+
+
+def random_graph(rng, scenario):
+    """Every cell owns a row of 0-8 distinct cell targets with bounds from a
+    small set (so slacks and ranks tie), the sink at a random place in most
+    rows; some rows hold fewer than two groups."""
+    cells = scenario.num_cells
+    rows = {}
+    for owner in range(cells):
+        size = int(rng.choice([0, 1, 2, 5, 8]))
+        row = [(int(t), float(rng.choice([0.05, 0.25, 0.5])))
+               for t in rng.choice(cells, size=size, replace=False)]
+        if rng.random() < 0.7:
+            row.insert(int(rng.integers(0, len(row) + 1)), ("unsafe", 0.01))
+        rows[owner] = row
+    return synthetic_graph(rows).bind_scenario(scenario)
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+def test_verify_matches_per_owner_reference(grid4, rng, monkeypatch, cached_emptiness,
+                                            budget):
+    """Records in order and every per_k float equal the per-owner scalar
+    reference, in all four modes, with one block or one owner per block."""
+    if budget is not None:
+        monkeypatch.setattr(rowstack, "_PAIR_BUDGET", budget)
+    for _ in range(4):
+        graph = random_graph(rng, grid4)
+        p = float(rng.choice([0.01, 0.05, 0.2]))
+        for mode in vf.MODES:
+            bounds = vf.verify(graph, grid4, horizon=3, p=p, mode=mode)
+            per_k, records = reference_verify(graph, grid4, 3, p, mode)
+            assert bounds.per_k == per_k
+            assert record_tuples(bounds.merges) == records
+
+
+def strip_regions():
+    """Cells 1-3 side by side on the left, 6 and 7 far right; at p = 0.01
+    and sigma 0.3 only left-right pairs are separated."""
+    return {0: Polytope.box([4, 0], [6, 1]), 1: Polytope.box([0, 0], [1, 1]),
+            2: Polytope.box([0, 1], [1, 2]), 3: Polytope.box([1, 0], [2, 1]),
+            6: Polytope.box([9, 0], [10, 1]), 7: Polytope.box([9, 1], [10, 2])}
+
+
+def test_overlapping_targets_break_key_ties_by_node():
+    """merged:1+3 and merged:1+2 share their order key (kind, first cell);
+    the tie between their equal-slack pairs with cell 7 goes to the larger
+    node, merged:1+3, though merged:1+2 comes first in the row."""
+    m12, m13 = gr.merged_node([1, 2]), gr.merged_node([1, 3])
+    graph = synthetic_graph({0: [], 1: [], 2: [], 3: [], 7: []}, sigma=[0.3, 0.3],
+                            regions=strip_regions())
+    graph.edges[gr.cell_node(0)] = [gr.Edge(m13, 0.5), gr.Edge(m12, 0.5),
+                                    gr.Edge(gr.cell_node(7), 0.5)]
+    bounds = {gr.cell_node(i): 0.9 for i in (0, 1, 2, 3, 7)}
+    _, records = vf.merge_pass(graph, gr.cell_node(0), 0.01, bounds)
+    assert [r.members for r in records] == [(m13, gr.cell_node(7))]
+
+
+def test_overlapping_targets_match_reference(rng, cached_emptiness):
+    """Rows with repeated targets and merged groups over their own members
+    merge and propagate like the scalar reference."""
+    regions = strip_regions()
+    pool = [gr.cell_node(c) for c in (1, 2, 3, 6, 7)] + [
+        gr.merged_node(m) for m in ((1, 2), (1, 3), (2, 3), (6, 7))]
+    owners = {i: [] for i in (0, 1, 2, 3, 6, 7)}
+    for _ in range(30):
+        graph = synthetic_graph(owners, sigma=[0.3, 0.3], regions=regions)
+        for owner in owners:
+            picks = rng.choice(len(pool), size=int(rng.integers(2, 7)))
+            graph.edges[gr.cell_node(owner)] = [
+                gr.Edge(pool[i], float(rng.choice([0.2, 0.25, 0.5]))) for i in picks]
+        bounds = {gr.cell_node(i): float(rng.choice([0.1, 0.5, 0.9])) for i in owners}
+        bounds[gr.UNSAFE] = 1.0
+        for owner in owners:
+            row = graph.edges[gr.cell_node(owner)]
+            assert vf.naive_step(graph, bounds)[gr.cell_node(owner)] \
+                == reference_naive_value(row, bounds)
+            assert vf.tpn_step(graph, bounds)[gr.cell_node(owner)] \
+                == reference_tpn_value(row, bounds)
+            want_row, want = reference_merge_owner(row, 0.01, bounds, graph.regions,
+                                                   graph.sigma)
+            merged, records = vf.merge_pass(graph, gr.cell_node(owner), 0.01, bounds)
+            assert [(r.members[0], r.members[1], r.merged, r.new_bound)
+                    for r in records] == want
+            assert merged.edges[gr.cell_node(owner)] == want_row
+
+
+def test_saturated_horizons_repeat_the_last_step(monkeypatch, cached_emptiness):
+    """Once two horizons agree on every node, later steps are copies of the
+    last one (records relabelled), and equal the step-by-step reference."""
+    scenario = sc.make_demo_scenario(3, [16, 16, 16], seed=0, obstacles=[DEMO_OBSTACLE])
+    graph = gr.build_graph(scenario, dq=0.01)
+    computed = []
+    step = rowstack.RowStack.step
+    monkeypatch.setattr(rowstack.RowStack, "step",
+                        lambda self, *args, **kw: computed.append(1) or step(self, *args, **kw))
+    for mode in vf.MODES:
+        computed.clear()
+        bounds = vf.verify(graph, scenario, horizon=9, p=0.01, mode=mode)
+        per_k, records = reference_verify(graph, scenario, 9, 0.01, mode)
+        assert bounds.per_k == per_k
+        assert record_tuples(bounds.merges) == records
+        if mode == "merge+tpn":
+            assert bounds.merges and per_k[2] == per_k[3] and len(computed) < 9
+
+
+def test_merge_tpn_memory_stays_bounded():
+    """144 owners with full rows (145 targets) verify in a few MB: owners
+    are scored block by block, never all at once (that would be about 12 MB
+    per score array)."""
+    scenario = sc.make_demo_scenario(12, [6, 4], seed=0, obstacles=[DEMO_OBSTACLE])
+    rng = np.random.default_rng(5)
+    cells = range(scenario.num_cells)
+    graph = synthetic_graph({o: [(t, float(rng.choice([0.01, 0.02, 0.05]))) for t in cells]
+                             + [("unsafe", 0.05)] for o in cells}).bind_scenario(scenario)
+    tracemalloc.start()
+    try:
+        vf.verify(graph, scenario, horizon=1, p=0.01, mode="merge+tpn")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
