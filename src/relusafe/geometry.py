@@ -15,7 +15,8 @@ as every grid cell has) also carry closed-form bounds:
 :meth:`Polytope.axis_bounds`, from which :func:`box_pairs` decides many
 pairs at once by intervals wherever the answer clears :data:`BOX_BAND`.
 Callers send only the pairs it leaves undecided, and pairs with a non-box
-member, to the LP.
+member, to the LP; :func:`empty_intersections` sends one polytope's pairs
+as one LP batch.
 """
 
 from __future__ import annotations
@@ -248,12 +249,25 @@ def augmented_set(poly, q, sigma):
     return Polytope(poly.A.copy(), poly.b - z * spread)
 
 
-def is_empty_intersection(p1, p2):
-    """True iff the two polytopes have no common point (LP infeasibility)."""
+def _intersection_lp(p1, p2):
+    """Feasibility LP of the rows of ``p1`` followed by those of ``p2``."""
     if p1.dim != p2.dim:
         raise GeometryError("dimension mismatch")
-    lp = linprog.LinearProgram(np.vstack([p1.A, p2.A]), np.concatenate([p1.b, p2.b]))
-    return isinstance(linprog.solve(lp), linprog.Infeasible)
+    return linprog.LinearProgram(np.vstack([p1.A, p2.A]), np.concatenate([p1.b, p2.b]))
+
+
+def is_empty_intersection(p1, p2):
+    """True iff the two polytopes have no common point (LP infeasibility)."""
+    return isinstance(linprog.solve(_intersection_lp(p1, p2)), linprog.Infeasible)
+
+
+def empty_intersections(poly, others):
+    """:func:`is_empty_intersection` of ``poly`` with each of ``others``,
+    from one :func:`relusafe.linprog.solve_many` batch: True, False, or
+    None where that LP failed numerically."""
+    results = linprog.solve_many([_intersection_lp(poly, other) for other in others])
+    return [None if isinstance(res, linprog.LpNumericalError)
+            else isinstance(res, linprog.Infeasible) for res in results]
 
 
 def chebyshev_center(poly):

@@ -18,6 +18,13 @@ bottom out anyway; filtered pairs keep an edge at the precision floor
 rather than being dropped, since unsatisfiability proves smallness, never
 impossibility.
 
+A source row is the unit of work (:func:`source_row`), and
+:func:`estimate_edges` is its one estimator: the row's prune LPs run as
+one :func:`relusafe.linprog.solve_many` batch and the slack LPs of its
+unpruned targets as another, with results bit-identical to solving each
+LP alone.  The targets' augmented sets at the grid floor are computed once
+per build (:class:`RowTargets`) and shared by every row.
+
 Every cell also gets an edge to the absorbing unsafe sink, bounding the
 one-step probability of entering an obstacle or leaving the domain; the sink
 carries a self-loop of weight one, which makes downstream horizon bounds
@@ -36,9 +43,8 @@ from functools import cached_property
 import numpy as np
 
 from . import smc
-from .geometry import (GeometryError, Polytope, augmented_set, gaussian_quantile,
-                       is_empty_intersection, outside_facets)
-from .linprog import LpNumericalError
+from .geometry import (GeometryError, Polytope, augmented_set, empty_intersections,
+                       gaussian_quantile, outside_facets)
 from .scenario import scenario_sha256
 
 GRAPH_FORMAT = "relusafe-graph-v2"
@@ -194,13 +200,29 @@ class CellReach:
         return smc.affine_pieces(self.scenario, self.cell)
 
 
-def _prune_against(scenario, box, region, dq):
+def floor_sets(regions, dq, sigma):
+    """Each region's augmented set at the grid floor: the target side of
+    its prune test."""
     floor = bisection_floor(dq)
-    aug = augmented_set(region, floor, scenario.dynamics.sigma)
-    try:
-        return is_empty_intersection(box, aug)
-    except LpNumericalError:
-        return False  # undecided: bracket the pair instead
+    return [augmented_set(region, floor, sigma) for region in regions]
+
+
+class RowTargets:
+    """What every source row shares: its targets, the partition cells in
+    index order and then the unsafe pieces, and their :func:`floor_sets`.
+    A build makes one and hands it to every row."""
+
+    def __init__(self, scenario, dq):
+        self.num_cells = scenario.num_cells
+        self.pieces = unsafe_pieces(scenario.workspace)
+        self.regions = [cell.region for cell in scenario.partition] + self.pieces
+        self.floor_sets = floor_sets(self.regions, dq, scenario.dynamics.sigma)
+
+
+def _pruned(box, targets):
+    """Per target polytope, True when it misses ``box``; a prune LP that
+    fails numerically reads False, so its pair is bracketed instead."""
+    return [empty is True for empty in empty_intersections(box, targets)]
 
 
 def prune_test(scenario, cell_i, cell_j, dq):
@@ -212,20 +234,21 @@ def prune_test(scenario, cell_i, cell_j, dq):
     source state is below dq and the grid walk would have returned its
     minimum value.
     """
-    return _prune_against(scenario, reach_box(scenario, cell_i), cell_j.region, dq)
+    return _pruned(reach_box(scenario, cell_i),
+                   floor_sets([cell_j.region], dq, scenario.dynamics.sigma))[0]
 
 
-def _grid_bracket(reach, region, dq):
+def _grid_bracket(reach, region, dq, z_star):
     """(q_lo, q_hi) on the dyadic threshold grid, as a bisection returns it.
 
     q_hi is unsatisfiable (or 1.0 untested), q_lo satisfiable (or 0.0), and
-    q_hi - q_lo <= dq.  Each verdict compares ``z*`` with the threshold's
-    quantile; within :func:`relusafe.smc.slack_tolerance` of ``z*`` it is
-    the oracle's, with "unknown" counted as satisfiable.
+    q_hi - q_lo <= dq.  Each verdict compares the cell's ``z*`` against
+    ``region`` with the threshold's quantile; within
+    :func:`relusafe.smc.slack_tolerance` of ``z*`` it is the oracle's, with
+    "unknown" counted as satisfiable.
     """
     scenario, cell = reach.scenario, reach.cell
     sigma = scenario.dynamics.sigma
-    z_star = smc.max_slack(reach.pieces, region, sigma)[0]
     tol = smc.slack_tolerance(region, sigma)
     problem = None
     q_lo, q_hi = 0.0, 1.0
@@ -245,28 +268,45 @@ def _grid_bracket(reach, region, dq):
     return q_lo, q_hi
 
 
-def estimate_edge(scenario, cell, region, dq, reach=None):
-    """Bound the one-step probability from ``cell`` into ``region``.
+def estimate_edges(scenario, cell, regions, dq, reach=None, floors=None):
+    """Bound the one-step probability from ``cell`` into each of ``regions``.
 
-    The one prune-or-bracket decision: a pair the reach box prunes returns
-    ``(dq, 0.0, dq, "pruned")``, any other ``(max(q_hi, dq), q_lo, q_hi,
-    "smc")`` from the threshold grid.  The tuple is the tail of an
-    :class:`Edge`.  ``reach`` is the cell's :class:`CellReach`, built when
-    not given; passing one shares its pieces across a row.
+    The one prune-or-bracket decision, one edge tail per region: a pair
+    the reach box prunes reads ``(dq, 0.0, dq, "pruned")``, any other
+    ``(max(q_hi, dq), q_lo, q_hi, "smc")`` from the threshold grid.  The
+    prune LPs of all regions run as one LP batch, then the slack LPs of
+    every affine piece against every unpruned region as another
+    (:func:`relusafe.smc.max_slack`), then each unpruned region's grid
+    walk.  ``reach`` is the cell's :class:`CellReach` and ``floors``
+    the regions' :func:`floor_sets`; each is computed when not given, and
+    passing them shares them across calls.
     """
     if reach is None:
         reach = CellReach(scenario, cell)
-    if _prune_against(scenario, reach.box, region, dq):
-        return dq, 0.0, dq, "pruned"
-    q_lo, q_hi = _grid_bracket(reach, region, dq)
-    return max(q_hi, dq), q_lo, q_hi, "smc"
+    sigma = scenario.dynamics.sigma
+    if floors is None:
+        floors = floor_sets(regions, dq, sigma)
+    pruned = _pruned(reach.box, floors)
+    open_regions = [region for region, cut in zip(regions, pruned) if not cut]
+    slacks = iter(smc.max_slack(reach.pieces, open_regions, sigma) if open_regions else ())
+    tails = []
+    for region, cut in zip(regions, pruned):
+        if cut:
+            tails.append((dq, 0.0, dq, "pruned"))
+            continue
+        q_lo, q_hi = _grid_bracket(reach, region, dq, next(slacks)[0])
+        tails.append((max(q_hi, dq), q_lo, q_hi, "smc"))
+    return tails
 
 
 def estimate_bound(scenario, cell_i, cell_j, dq):
     """Upper bound on the worst-case one-step probability from cell_i to
-    cell_j: the ``q_hi`` that :func:`estimate_edge` brackets, without its
+    cell_j: the ``q_hi`` that :func:`estimate_edges` brackets, without its
     prune test, so a pruned pair reads the grid floor rather than dq."""
-    return _grid_bracket(CellReach(scenario, cell_i), cell_j.region, dq)[1]
+    reach = CellReach(scenario, cell_i)
+    region = cell_j.region
+    z_star = smc.max_slack(reach.pieces, [region], scenario.dynamics.sigma)[0][0]
+    return _grid_bracket(reach, region, dq, z_star)[1]
 
 
 def unsafe_pieces(workspace):
@@ -278,29 +318,39 @@ def unsafe_pieces(workspace):
     return list(workspace.lifted_obstacles()) + outside_facets(workspace.domain, 0.0)
 
 
-def sink_edge(scenario, cell, dq, reach=None):
-    """Edge to the unsafe sink: entering any obstacle or leaving the domain.
-
-    Each unsafe piece gets its own :func:`estimate_edge`, recorded as
-    ``(piece, bound, q_lo, q_hi, method)``; the edge bound is their sum,
-    capped at one.
-    """
-    if reach is None:
-        reach = CellReach(scenario, cell)
-    records = tuple((piece,) + estimate_edge(scenario, cell, piece, dq, reach)
-                    for piece in unsafe_pieces(scenario.workspace))
+def _sink_edge(pieces, tails):
+    """The sink edge from each unsafe piece's edge tail: the records
+    ``(piece, bound, q_lo, q_hi, method)`` and their bound sum, capped at
+    one."""
+    records = tuple((piece,) + tail for piece, tail in zip(pieces, tails))
     total = sum(rec[1] for rec in records)
     return Edge(target=UNSAFE, bound=min(1.0, total), method="unsafe", pieces=records)
 
 
-def source_row(scenario, cell, dq):
+def sink_edge(scenario, cell, dq, reach=None):
+    """Edge to the unsafe sink: entering any obstacle or leaving the domain.
+
+    Each unsafe piece gets its own edge tail from :func:`estimate_edges`,
+    recorded as ``(piece, bound, q_lo, q_hi, method)``; the edge bound is
+    their sum, capped at one.
+    """
+    pieces = unsafe_pieces(scenario.workspace)
+    return _sink_edge(pieces, estimate_edges(scenario, cell, pieces, dq, reach))
+
+
+def source_row(scenario, cell, dq, targets=None):
     """All outgoing edges of one source cell: every partition cell in index
-    order, then the sink.  The cell's affine pieces are enumerated once
-    and shared by the whole row."""
-    reach = CellReach(scenario, cell)
-    row = [Edge(cell_node(j), *estimate_edge(scenario, cell, target.region, dq, reach))
-           for j, target in enumerate(scenario.partition)]
-    row.append(sink_edge(scenario, cell, dq, reach))
+    order, then the sink.  One :func:`estimate_edges` call covers the
+    partition and the unsafe pieces, so the row's prune LPs run as one
+    batch and its slack LPs as another.  ``targets`` is the build's
+    :class:`RowTargets`, made when not given."""
+    if targets is None:
+        targets = RowTargets(scenario, dq)
+    tails = estimate_edges(scenario, cell, targets.regions, dq,
+                           floors=targets.floor_sets)
+    n = targets.num_cells
+    row = [Edge(cell_node(j), *tail) for j, tail in enumerate(tails[:n])]
+    row.append(_sink_edge(targets.pieces, tails[n:]))
     return row
 
 
@@ -309,10 +359,11 @@ def build_graph(scenario, dq, jobs=1):
 
     Pair estimation is independent per source cell; with ``jobs > 1`` the
     source rows fan out to worker processes and come back in cell order.
+    The rows' :class:`RowTargets` are made once and shared by every row.
     Any worker failure aborts the build; partial graphs are never returned.
     """
     n = scenario.num_cells
-    args = ([scenario] * n, scenario.partition, [dq] * n)
+    args = ([scenario] * n, scenario.partition, [dq] * n, [RowTargets(scenario, dq)] * n)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(source_row, *args))

@@ -19,8 +19,8 @@ import numpy as np
 
 from .geometry import (DegenerateSplitError, Hyperplane, chebyshev_center,
                        gaussian_quantile, split)
-from .graph import (UNSAFE, CellReach, Edge, TransitionGraph, cell_node, estimate_edge,
-                    sink_edge, source_row)
+from .graph import (UNSAFE, CellReach, Edge, RowTargets, TransitionGraph, cell_node,
+                    estimate_edges, sink_edge, source_row)
 from .scenario import PartitionCell, Scenario
 from .smc import max_slack, slack_tolerance
 
@@ -101,7 +101,7 @@ def find_witness(scenario, graph, source, target):
         region = scenario.partition[target.cells[0]].region
     cell = scenario.partition[source.cells[0]]
     sigma = scenario.dynamics.sigma
-    z_star, x, x_next = max_slack(CellReach(scenario, cell).pieces, region, sigma)
+    z_star, x, x_next = max_slack(CellReach(scenario, cell).pieces, [region], sigma)[0]
     if z_star == np.inf:
         raise RefinementError(f"edge {source} -> {target}: slack LP failed numerically")
     if z_star < gaussian_quantile(q) - slack_tolerance(region, sigma):
@@ -185,7 +185,7 @@ def refine_cell(scenario, graph, bounds, source, target, steps=4):
         if target == UNSAFE:
             value = sink_edge(scenario, probe, graph.dq).bound
         else:
-            value = estimate_edge(scenario, probe, target_region, graph.dq)[0]
+            value = estimate_edges(scenario, probe, [target_region], graph.dq)[0][0]
         plan.translations.append((float(offset), float(value)))
         if best is None or value < best[0]:
             best = (value, offset)
@@ -216,24 +216,27 @@ def _rebuild_graph(new_scenario, graph, cell_map):
     """The graph ``build_graph`` would give on the refined scenario.
 
     Rows of the two halves are estimated afresh, and so is every other
-    row's edge into a half; all other edges are copied from the old graph
-    through ``cell_map``.
+    row's edge into a half, with one :func:`estimate_edges` call per row;
+    all other edges are copied from the old graph through ``cell_map``.
     """
     dq = graph.dq
     halves = next(new for new in cell_map if len(new) == 2)
     old_index = {new: old for old, news in enumerate(cell_map) for new in news}
+    targets = RowTargets(new_scenario, dq)
+    half_regions = [targets.regions[j] for j in halves]
+    half_floors = [targets.floor_sets[j] for j in halves]
     edges = {}
     for i, cell in enumerate(new_scenario.partition):
         if i in halves:
-            edges[cell_node(i)] = source_row(new_scenario, cell, dq)
+            edges[cell_node(i)] = source_row(new_scenario, cell, dq, targets)
             continue
         old_row = {e.target: e for e in graph.edges[cell_node(old_index[i])]}
-        reach = CellReach(new_scenario, cell)
+        into_halves = dict(zip(halves, estimate_edges(new_scenario, cell, half_regions, dq,
+                                                      floors=half_floors)))
         row = []
-        for j, target in enumerate(new_scenario.partition):
+        for j in range(new_scenario.num_cells):
             if j in halves:
-                row.append(Edge(cell_node(j),
-                                *estimate_edge(new_scenario, cell, target.region, dq, reach)))
+                row.append(Edge(cell_node(j), *into_halves[j]))
             else:
                 row.append(replace(old_row[cell_node(old_index[j])], target=cell_node(j)))
         row.append(old_row[UNSAFE])

@@ -20,7 +20,8 @@ of a cell once, splitting the open neurons layer by layer with emptiness
 LPs in the ``n`` state variables: with the earlier layers fixed, a neuron's
 pre-activation is affine in the state.  For a target polytope,
 :func:`max_slack` returns ``z*``, the largest minimum noise-normalised
-target slack any piece reaches, from one ``(n+1)``-variable LP per piece.
+target slack any piece reaches, from one ``(n+1)``-variable LP per piece;
+the LPs of every piece against every target of a call run as one batch.
 The query against the target's augmented set at threshold ``q`` is
 satisfiable exactly when ``z* >= gaussian_quantile(q)``.  The argmax
 piece's LP point is the state whose successor reaches ``z*``: the witness
@@ -527,36 +528,46 @@ def _row_spreads(target, sigma):
     return np.sqrt((target.A ** 2) @ (np.asarray(sigma, dtype=float) ** 2))
 
 
-def max_slack(pieces, target, sigma):
-    """``(z*, x, x')``: the largest minimum noise-normalised slack ``z*`` of
-    ``target`` that a successor ``M x + m`` of some piece reaches, the state
-    ``x`` that reaches it and its successor ``x' = M x + m``.
+def max_slack(pieces, targets, sigma):
+    """One ``(z*, x, x')`` per polytope in ``targets``: the largest minimum
+    noise-normalised slack ``z*`` of the target that a successor ``M x +
+    m`` of some piece reaches, the state ``x`` that reaches it and its
+    successor ``x' = M x + m``.
 
-    Per piece, one LP in ``(x, s)`` maximises ``s`` subject to ``x`` in the
-    piece and ``A_t (M x + m) + s * spread <= b_t``, with ``s`` capped at
-    ``SLACK_CAP``; ``x`` is the LP point of the argmax piece.  Returns
-    ``(-inf, None, None)`` when no piece is feasible and ``(+inf, None,
-    None)`` when an LP fails numerically, so a failure can only loosen a
-    bound.
+    Per piece and target, one LP in ``(x, s)`` maximises ``s`` subject to
+    ``x`` in the piece and ``A_t (M x + m) + s * spread <= b_t``, with
+    ``s`` capped at ``SLACK_CAP``; all of them run as one
+    :func:`relusafe.linprog.solve_many` batch.  Per target, the pieces are
+    compared in order and a later one wins only with a strictly larger
+    slack; ``x`` is the LP point of the winner.  A target reads ``(-inf,
+    None, None)`` when no piece is feasible and ``(+inf, None, None)`` when
+    one of its LPs fails numerically, so a failure can only loosen a bound.
     """
-    spread = _row_spreads(target, sigma)
-    best = (-np.inf, None, None)
-    for piece in pieces:
-        k, n = piece.A.shape
-        rows = np.zeros((k + target.num_halfspaces + 1, n + 1))
-        rows[:k, :n] = piece.A
-        rows[k:-1, :n] = target.A @ piece.M
-        rows[k:-1, n] = spread
-        rows[-1, n] = 1.0  # s <= SLACK_CAP, and the objective
-        rhs = np.concatenate([piece.b, target.b - target.A @ piece.m, [SLACK_CAP]])
-        try:
-            res = linprog.solve(linprog.LinearProgram(rows, rhs, objective=("max", rows[-1])))
-        except linprog.LpNumericalError:
-            return np.inf, None, None
-        if isinstance(res, linprog.Feasible) and res.objective_value > best[0]:
-            x = res.point[:n]
-            best = (res.objective_value, x, piece.M @ x + piece.m)
-    return best
+    lps = []
+    for target in targets:
+        spread = _row_spreads(target, sigma)
+        for piece in pieces:
+            k, n = piece.A.shape
+            rows = np.zeros((k + target.num_halfspaces + 1, n + 1))
+            rows[:k, :n] = piece.A
+            rows[k:-1, :n] = target.A @ piece.M
+            rows[k:-1, n] = spread
+            rows[-1, n] = 1.0  # s <= SLACK_CAP, and the objective
+            rhs = np.concatenate([piece.b, target.b - target.A @ piece.m, [SLACK_CAP]])
+            lps.append(linprog.LinearProgram(rows, rhs, objective=("max", rows[-1])))
+    results = linprog.solve_many(lps)
+    out = []
+    for t in range(len(targets)):
+        best = (-np.inf, None, None)
+        for piece, res in zip(pieces, results[t * len(pieces):]):
+            if isinstance(res, linprog.LpNumericalError):
+                best = (np.inf, None, None)
+                break
+            if isinstance(res, linprog.Feasible) and res.objective_value > best[0]:
+                x = res.point[:piece.A.shape[1]]
+                best = (res.objective_value, x, piece.M @ x + piece.m)
+        out.append(best)
+    return out
 
 
 def slack_tolerance(target, sigma):

@@ -217,27 +217,35 @@ def test_criterion_7_refinement_effectiveness(demo_graph, demo_scenario,
 
 def test_criterion_8_certificate_audit(demo_scenario):
     """Every infeasibility produced by a full graph build carries a Farkas
-    certificate that passes the independent machine check."""
-    audited = {"count": 0}
-    original = linprog.solve
+    certificate that passes the independent machine check, whether its LP
+    was solved alone or in a ``solve_many`` batch.  A batch of one is
+    solved by ``solve``, so each result is audited once, by identity."""
+    audited = {}  # id -> result, kept alive so that ids stay unique
+    original, original_many = linprog.solve, linprog.solve_many
 
-    def audited_solve(lp, **kwargs):
-        res = original(lp, **kwargs)
-        if isinstance(res, linprog.Infeasible):
-            audited["count"] += 1
+    def audit(lp, res):
+        if isinstance(res, linprog.Infeasible) and id(res) not in audited:
+            audited[id(res)] = res
             assert linprog.check_certificate(lp, res.certificate), \
                 "certificate failed the audit"
             y = np.array([e.weight for e in res.certificate])
             assert np.all(y >= 0.0)
         return res
 
-    linprog.solve = audited_solve
+    def audited_solve(lp, **kwargs):
+        return audit(lp, original(lp, **kwargs))
+
+    def audited_solve_many(lps):
+        lps = list(lps)
+        return [audit(lp, res) for lp, res in zip(lps, original_many(lps))]
+
+    linprog.solve, linprog.solve_many = audited_solve, audited_solve_many
     try:
         gr.build_graph(demo_scenario, dq=0.05)
     finally:
-        linprog.solve = original
-    assert audited["count"] > 100
-    report(8, f"{audited['count']} infeasibility certificates verified")
+        linprog.solve, linprog.solve_many = original, original_many
+    assert len(audited) > 100
+    report(8, f"{len(audited)} infeasibility certificates verified")
 
 
 def test_criterion_9_horizon_sweep_renders(demo_bounds, demo_scenario, tmp_path):

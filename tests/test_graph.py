@@ -10,6 +10,7 @@ import pytest
 
 from relusafe import graph as gr
 from relusafe import montecarlo as mc
+from relusafe import refine as rf
 from relusafe import scenario as sc
 from relusafe import smc
 from relusafe.geometry import Polytope, augmented_set, is_empty_intersection
@@ -30,7 +31,8 @@ def test_bisection_trace_always_unsat(small_scenario, monkeypatch):
         return true_quantile(q)
 
     monkeypatch.setattr(gr, "gaussian_quantile", spy)
-    monkeypatch.setattr(smc, "max_slack", lambda *a: (-np.inf, None, None))
+    monkeypatch.setattr(smc, "max_slack",
+                        lambda pieces, targets, sigma: [(-np.inf, None, None)] * len(targets))
     cell = small_scenario.partition[0]
     bound = gr.estimate_bound(small_scenario, cell, small_scenario.partition[1], 0.1)
     assert seen == [0.5, 0.25, 0.125, 0.0625]
@@ -38,7 +40,8 @@ def test_bisection_trace_always_unsat(small_scenario, monkeypatch):
 
 
 def test_bisection_always_sat(small_scenario, monkeypatch):
-    monkeypatch.setattr(smc, "max_slack", lambda *a: (np.inf, None, None))
+    monkeypatch.setattr(smc, "max_slack",
+                        lambda pieces, targets, sigma: [(np.inf, None, None)] * len(targets))
     cell = small_scenario.partition[0]
     bound = gr.estimate_bound(small_scenario, cell, small_scenario.partition[1], 0.1)
     assert bound == 1.0
@@ -84,9 +87,8 @@ def test_grid_walk_equals_oracle_bisection(small_scenario):
         reach = gr.CellReach(small_scenario, cell)
         regions = ([t.region for t in small_scenario.partition]
                    + gr.unsafe_pieces(small_scenario.workspace))
-        for region in regions:
-            assert (gr.estimate_edge(small_scenario, cell, region, dq, reach)
-                    == reference_edge(small_scenario, cell, region, dq))
+        assert (gr.estimate_edges(small_scenario, cell, regions, dq, reach)
+                == [reference_edge(small_scenario, cell, region, dq) for region in regions])
 
 
 def test_grid_walk_equals_oracle_bisection_dense_controller(monkeypatch):
@@ -107,7 +109,7 @@ def test_grid_walk_equals_oracle_bisection_dense_controller(monkeypatch):
         cell = scenario.partition[i]
         reach = gr.CellReach(scenario, cell)
         assert len(reach.pieces) >= 3
-        row = [gr.estimate_edge(scenario, cell, t.region, dq, reach) for t in scenario.partition]
+        row = gr.estimate_edges(scenario, cell, [t.region for t in scenario.partition], dq, reach)
         assert not nodes  # no grid point fell within the tie tolerance
         assert row == [reference_edge(scenario, cell, t.region, dq) for t in scenario.partition]
         assert sum(e[3] == "smc" for e in row) >= 3
@@ -122,11 +124,11 @@ def test_tie_is_decided_by_the_oracle(small_scenario, monkeypatch):
     sigma = small_scenario.dynamics.sigma
     region = small_scenario.partition[5].region
     reach = gr.CellReach(small_scenario, cell)
-    z_star = smc.max_slack(reach.pieces, region, sigma)[0]
+    z_star = smc.max_slack(reach.pieces, [region], sigma)[0][0]
     assert np.isfinite(z_star)
     spread = np.sqrt((region.A ** 2) @ (sigma ** 2))
     tied = Polytope(region.A, region.b - z_star * spread)
-    assert abs(smc.max_slack(reach.pieces, tied, sigma)[0] - gr.gaussian_quantile(0.5)) \
+    assert abs(smc.max_slack(reach.pieces, [tied], sigma)[0][0] - gr.gaussian_quantile(0.5)) \
         <= smc.slack_tolerance(tied, sigma)
 
     asked = []
@@ -137,7 +139,7 @@ def test_tie_is_decided_by_the_oracle(small_scenario, monkeypatch):
         return real_solve(problem, *args, **kwargs)
 
     monkeypatch.setattr(smc, "solve", spy)
-    edge = gr.estimate_edge(small_scenario, cell, tied, dq, reach)
+    (edge,) = gr.estimate_edges(small_scenario, cell, [tied], dq, reach)
     assert len(asked) == 1
     np.testing.assert_array_equal(asked[0].b, augmented_set(tied, 0.5, sigma).b)
     monkeypatch.setattr(smc, "solve", real_solve)
@@ -454,11 +456,31 @@ def test_parallel_build_matches_serial(small_scenario):
             assert twin.bound == e.bound and twin.q_lo == e.q_lo
 
 
+@pytest.fixture(scope="module")
+def deep3_graph():
+    """The benchmark's deep3 workload: few cells, a deep net, large LPs."""
+    scenario = sc.make_demo_scenario(3, [16, 16, 16], seed=0,
+                                     obstacles=[((6.5, 2.5), (7.5, 3.5))])
+    return gr.build_graph(scenario, dq=0.01)
+
+
+@pytest.fixture(scope="module")
+def refined_demo_graph(demo_scenario, demo_graph):
+    result = rf.refine_cell(demo_scenario, demo_graph, None, gr.cell_node(15),
+                            gr.cell_node(16), steps=4)
+    assert result.plan.committed
+    return result.graph
+
+
 @pytest.mark.parametrize("fixture, v1_digest, digest", [
     ("demo_graph", "9b1317cc90aea2cece19f9a143da8f1849892c46e81d64a8182e2e445af97794",
      "bb0499975f07235b0406cd1903002b3d51c6f2e993ebe6a28d71e074e2f46dc1"),
     ("small_graph", "0da4221cf010fdf9aa2eb86b8da7e2179a8033a3d09744dbbfb32982db80b1d7",
      "744961d8e97c1b736dcdbbebec578b309a04601bf64ba091c0b2ac4142b8d6c1"),
+    ("deep3_graph", "01ce378f66c4ebdd5a5496176cbfdeebf4f9583be450d1b814b8feadbe731d68",
+     "e3f8712cdb5ca2da03bb014ee43d710b604d7adfd03b3ee2f83a80511ed597b7"),
+    ("refined_demo_graph", "874cabbe3e942c07674bfbbbd29447e5437d1ff1f3158a22cf6be9a2991dc533",
+     "9ca0b6eba011d34e508fbdaeeea911a7f4125d0850c6bf40c9b9d150bd5a993d"),
 ])
 def test_saved_graph_bytes_pinned(request, fixture, v1_digest, digest):
     """Every bound follows from sat/unsat verdicts alone; a solver change that

@@ -197,3 +197,105 @@ def test_sparse_pivot_matches_dense_update(rng):
         linprog._pivot(T, basis, i, j)
         assert np.array_equal(T, ref)
         assert np.array_equal(basis, ref_basis)
+
+
+def assert_same_result(got, want):
+    """``got`` is ``want`` bit for bit: point bytes, objective value repr,
+    certificate entries, or the same error."""
+    assert type(got) is type(want)
+    if isinstance(want, linprog.Feasible):
+        assert got.point.tobytes() == want.point.tobytes()
+        assert repr(got.objective_value) == repr(want.objective_value)
+    elif isinstance(want, linprog.Infeasible):
+        assert [(e.label, e.side, repr(e.weight)) for e in got.certificate] == \
+            [(e.label, e.side, repr(e.weight)) for e in want.certificate]
+    elif isinstance(want, linprog.Unbounded):
+        assert got.direction == want.direction
+    else:
+        assert str(got) == str(want)
+
+
+def solve_alone(lp):
+    try:
+        return linprog.solve(lp)
+    except linprog.LpNumericalError as exc:
+        return exc
+
+
+def batch_corpus(rng):
+    """Mixed shapes and relations, with and without objectives, plus the
+    special cases: infeasible, unbounded, degenerate ratio ties and LPs
+    without rows."""
+    lps = []
+    for _ in range(200):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 13))
+        A, b = rng.normal(size=(m, n)), rng.normal(size=m)
+        if rng.random() < 0.3:                       # integer data: exact ties
+            A, b = np.round(2 * A), np.round(2 * b)
+        rels = [("<=", "=", ">=")[k] for k in rng.choice(3, size=m, p=(0.7, 0.15, 0.15))]
+        lp = lp_from_rows(A, b, rels)
+        if rng.random() < 0.5:
+            lp = linprog.LinearProgram(lp.rows, lp.rhs, eq=lp.eq, labels=lp.labels,
+                                       objective=(("min", "max")[int(rng.integers(2))],
+                                                  rng.normal(size=n)))
+        lps.append(lp)
+    lps += [
+        linprog.LinearProgram([[-1.0], [1.0]], [-1.0, 0.0]),                    # infeasible
+        linprog.LinearProgram([[1.0, 0.0]], [1.0], objective=("max", [0.0, 1.0])),  # unbounded
+        # x <= 1 and 2x <= 2 tie in the ratio test; so do the rows through (1, 1).
+        linprog.LinearProgram([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 1.0], [3.0, 3.0]],
+                              [1.0, 2.0, 1.0, 2.0, 6.0], objective=("max", [1.0, 1.0])),
+        linprog.LinearProgram([[-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0]], [-1.0, -1.0, -2.0],
+                              objective=("min", [1.0, 1.0])),
+        # Its point is -0.0: the skipped rows of each pivot keep their signed zeros.
+        linprog.LinearProgram([[1.0], [1.0], [0.0], [-2.0]], [1.0, -0.0, 1.0, 0.0],
+                              objective=("min", [-0.5])),
+        linprog.LinearProgram(np.zeros((0, 2)), np.zeros(0)),                   # no rows
+        linprog.LinearProgram(np.zeros((0, 1)), np.zeros(0), objective=("max", [1.0])),
+    ]
+    return lps
+
+
+def test_solve_many_is_solve_bit_for_bit(rng):
+    lps = batch_corpus(rng)
+    want = [solve_alone(lp) for lp in lps]
+    kinds = {type(res).__name__ for res in want}
+    assert {"Feasible", "Infeasible", "Unbounded"} <= kinds
+    assert any(isinstance(r, linprog.Feasible) and r.objective_value is not None for r in want)
+    for got, expected in zip(linprog.solve_many(lps), want):
+        assert_same_result(got, expected)
+    # Smaller batches, a batch of one and an empty batch.
+    for start in range(0, len(lps), 7):
+        for got, expected in zip(linprog.solve_many(lps[start:start + 7]), want[start:]):
+            assert_same_result(got, expected)
+    assert want[-3].point.tobytes() == np.array([-0.0]).tobytes()
+    assert_same_result(linprog.solve_many([lps[-4]])[0], want[-4])
+    assert linprog.solve_many([]) == []
+
+
+@pytest.mark.parametrize("fault", ["audit", "guard"])
+def test_solve_many_member_failure_leaves_companions(rng, monkeypatch, fault):
+    """A member that fails numerically gets the error solve raises for it,
+    in its slot, and every other member's result is unchanged."""
+    lps = batch_corpus(rng)
+    # The victim is the only LP with 5 variables and 17 canonical rows.
+    A = rng.normal(size=(16, 5))
+    victim = lp_from_rows(np.vstack([A, -A.sum(axis=0)]),
+                          np.append(rng.uniform(0.0, 1.0, size=16), -20.0))
+    batch = lps[:20] + [victim] + lps[20:]
+    assert isinstance(linprog.solve(victim), linprog.Infeasible)
+    want = [solve_alone(lp) for lp in lps]
+    if fault == "audit":
+        real = linprog._farkas_holds
+        monkeypatch.setattr(linprog, "_farkas_holds",
+                            lambda terms, num_vars, tol: num_vars != 5 and real(terms, num_vars, tol))
+    else:
+        real = linprog._iteration_limit
+        monkeypatch.setattr(linprog, "_iteration_limit",
+                            lambda m, ncols: np.where(np.equal(m, 17), 0, real(m, ncols)))
+    with pytest.raises(linprog.LpNumericalError) as alone:
+        linprog.solve(victim)
+    got = linprog.solve_many(batch)
+    assert_same_result(got[20], alone.value)
+    for res, expected in zip(got[:20] + got[21:], want):
+        assert_same_result(res, expected)

@@ -79,7 +79,7 @@ def test_find_witness_reads_the_argmax_piece(demo_scenario, demo_graph):
         np.testing.assert_allclose(stepped, x_next, rtol=0.0, atol=1e-9)
         spread = np.sqrt((region.A ** 2) @ sigma ** 2)
         depth = min(float(np.min((region.b - region.A @ x_next) / spread)), smc.SLACK_CAP)
-        z_star, _, _ = smc.max_slack(gr.CellReach(demo_scenario, cell).pieces, region, sigma)
+        (z_star, _, _), = smc.max_slack(gr.CellReach(demo_scenario, cell).pieces, [region], sigma)
         assert depth == pytest.approx(z_star, rel=0.0, abs=1e-9)
         seen += 1
     assert seen >= 10
@@ -113,7 +113,19 @@ def test_find_witness_reports_slack_lp_failure(refinable, monkeypatch):
             raise linprog.LpNumericalError("injected fault")
         return real_solve(lp, *args, **kwargs)
 
+    def broken_batch(lps):
+        """solve_many as its contract states it: each member's solve, with
+        a numerical failure in the member's slot."""
+        out = []
+        for lp in lps:
+            try:
+                out.append(broken(lp))
+            except linprog.LpNumericalError as exc:
+                out.append(exc)
+        return out
+
     monkeypatch.setattr(linprog, "solve", broken)
+    monkeypatch.setattr(linprog, "solve_many", broken_batch)
     with pytest.raises(rf.RefinementError) as info:
         rf.find_witness(scenario, graph, source, edgerec.target)
     assert not isinstance(info.value, rf.StaleGraphError)

@@ -154,7 +154,7 @@ def test_affine_pieces_agree_with_network_and_oracle(seed):
             assert len(home) == 1
             np.testing.assert_allclose(home[0].M @ x + home[0].m,
                                        dyn.A @ x + dyn.B @ u, atol=1e-9)
-        z_star = smc.max_slack(pieces, aug, dyn.sigma)[0]
+        z_star = smc.max_slack(pieces, [aug], dyn.sigma)[0][0]
         if abs(z_star) > smc.slack_tolerance(aug, dyn.sigma):
             decided += 1
             verdict = smc.solve(smc.build_encoding(scenario, cell, aug))
@@ -250,10 +250,11 @@ def test_budget_exhaustion_reports_unknown():
 def test_numerical_failure_is_unknown_and_conservative(small_scenario, monkeypatch, site):
     """A numerical failure inside a query, injected at every call in turn,
     yields "unknown" rather than a crash.  In edge estimation, injected at
-    every LP in turn (prune test, emptiness and slack LPs), it never raises
-    and never gives a bound or bracket below the fault-free one: an
-    undecided prune test brackets the pair, a failed emptiness LP keeps its
-    piece and a failed slack LP counts as z* = +inf."""
+    every LP in turn (prune test, emptiness and slack LPs, alone or as a
+    member of a ``solve_many`` batch), it never raises and never gives a
+    bound or bracket below the fault-free one: an undecided prune test
+    brackets the pair, a failed emptiness LP keeps its piece and a failed
+    slack LP counts as z* = +inf."""
     module, name, error = {
         "lp": (linprog, "solve", linprog.LpNumericalError),
         "witness": (smc, "_make_witness", smc.SmcNumericalError),
@@ -268,7 +269,20 @@ def test_numerical_failure_is_unknown_and_conservative(small_scenario, monkeypat
             raise error("injected fault")
         return real(*args, **kwargs)
 
+    def faulty_batch(lps):
+        """solve_many as its contract states it: each member's solve, with
+        a numerical failure in the member's slot."""
+        out = []
+        for lp in lps:
+            try:
+                out.append(faulty(lp))
+            except linprog.LpNumericalError as exc:
+                out.append(exc)
+        return out
+
     monkeypatch.setattr(module, name, faulty)
+    if site == "lp":
+        monkeypatch.setattr(linprog, "solve_many", faulty_batch)
     cell = small_scenario.partition[4]
     sigma = small_scenario.dynamics.sigma
 
@@ -283,11 +297,11 @@ def test_numerical_failure_is_unknown_and_conservative(small_scenario, monkeypat
         region = small_scenario.partition[target].region
         calls.clear()
         fail_at = 0
-        clean = gr.estimate_edge(small_scenario, cell, region, 0.05)
+        (clean,) = gr.estimate_edges(small_scenario, cell, [region], 0.05)
         assert clean[3] == "smc"
         for fail_at in range(1, len(calls) + 1):
             calls.clear()
-            out = gr.estimate_edge(small_scenario, cell, region, 0.05)
+            (out,) = gr.estimate_edges(small_scenario, cell, [region], 0.05)
             assert out[3] == "smc"
             assert all(got >= want for got, want in zip(out[:3], clean[:3]))
             moved += out != clean
