@@ -119,9 +119,17 @@ class Polytope:
         return bool(np.all(self.A @ x - self.b <= tol))
 
     def contains_many(self, points, tol=EPS_GEO):
-        """Vectorized membership for an (N, n) array of points."""
-        points = np.asarray(points, dtype=float)
-        return np.all(points @ self.A.T - self.b <= tol, axis=1)
+        """Vectorized membership for an (N, n) array of points.
+
+        ANDs ``a_r . x - b_r <= tol`` over the halfspace rows, each tested on
+        one contiguous row of ``A @ points.T``; a NaN coordinate fails.  The
+        points may be C-ordered or a transposed view of an (n, N) array.
+        """
+        products = self.A @ np.asarray(points, dtype=float).T
+        inside = products[0] - self.b[0] <= tol
+        for row, offset in zip(products[1:], self.b[1:]):
+            inside &= row - offset <= tol
+        return inside
 
     def is_empty(self):
         return isinstance(linprog.solve(linprog.LinearProgram(self.A, self.b)), linprog.Infeasible)

@@ -18,6 +18,13 @@ block, and step ``t`` adds row ``t``.  The noise is iid, independent of the
 sampler's stream, reproducible from the seed alone, and a shorter horizon
 reads a prefix of the same draw.  A single rollout with ``index`` is a
 batch of one drawn from stream ``(seed, 1 + index)``.
+
+A batch runs state-major: each step's states are an (n, N) array, so the
+dynamics, the measurement map and the network are matrix products from
+the left, and each halfspace test reads one contiguous row of products.
+While every trajectory lies in some cell, as nearly all do at nearly every
+step, a step gathers and scatters nothing.  Callers still see (N, ...)
+arrays.
 """
 
 from __future__ import annotations
@@ -71,61 +78,61 @@ def stream(seed, index):
 
 def _unsafe_mask(scenario, points, cell_idx):
     ws = scenario.workspace
-    bad = cell_idx < 0
-    dom = ws.domain
-    bad |= np.any(points @ dom.A.T - dom.b > STRICT_MARGIN, axis=1)
-    bad |= ws.in_obstacle_many(points)
-    return bad
+    return ((cell_idx < 0) | ~ws.domain.contains_many(points, tol=STRICT_MARGIN)
+            | ws.in_obstacle_many(points))
 
 
 def simulate_batch(scenario, x0s, k, seed, base_index=1):
     """Roll out many trajectories at once; returns (states, first_hit).
 
-    ``states`` is (N, k+1, n); ``first_hit`` holds the first unsafe step per
-    trajectory (k+1 when never unsafe).  The noise is one draw
-    ``stream(seed, base_index).normal(size=(k, N, n)) * sigma``, and step
-    ``t`` adds its row ``t``, so a shorter horizon reads a prefix of the
-    same noise.  Trajectory ``i`` of a batch of more than one is not
-    :func:`simulate` with ``index=i``.
+    ``x0s`` is (N, n).  ``states`` is (N, k+1, n), a transposed view of the
+    state-major (k+1, n, N) array the rollout fills; ``first_hit`` holds
+    the first unsafe step per trajectory (k+1 when never unsafe).  The
+    noise is one draw ``stream(seed, base_index).normal(size=(k, N, n)) *
+    sigma``, and step ``t`` adds its row ``t``, so a shorter horizon reads
+    a prefix of the same noise.  Trajectory ``i`` of a batch of more than
+    one is not :func:`simulate` with ``index=i``.
     """
     if k < 0:
         raise MonteCarloError(f"horizon {k} is negative")
     x0s = np.asarray(x0s, dtype=float)
-    N, n = x0s.shape
     dyn = scenario.dynamics
+    if x0s.ndim != 2 or x0s.shape[1] != dyn.n:
+        raise MonteCarloError(f"initial states of shape {x0s.shape} are not (N, {dyn.n})")
+    N, n = x0s.shape
     noise = stream(seed, base_index).normal(size=(k, N, n)) * dyn.sigma
-    Cs = np.stack([cell.C for cell in scenario.partition])
-    cs = np.stack([cell.c for cell in scenario.partition])
-    # One measurement map for every cell (as in generated scenarios): one
-    # matrix product per step, with no per-trajectory gather.
-    shared = bool(np.all(Cs == Cs[0]) and np.all(cs == cs[0]))
+    Cs, cs, shared = scenario.measurement_maps
 
-    states = np.empty((N, k + 1, n))
-    states[:, 0] = x0s
+    states = np.empty((k + 1, n, N))
+    states[0] = x0s.T
     first_hit = np.full(N, k + 1, dtype=int)
-    x = x0s.copy()
-    cell_idx = scenario.cell_index_many(x)
-    hit0 = _unsafe_mask(scenario, x, cell_idx)
-    first_hit[hit0] = 0
+    cell_idx = scenario.cell_index_many(x0s)
+    first_hit[_unsafe_mask(scenario, x0s, cell_idx)] = 0
     for t in range(k):
-        u = np.zeros((N, dyn.m))
+        x = states[t]
         live = cell_idx >= 0
-        if np.any(live):
-            if shared:
-                d = x[live] @ Cs[0].T + cs[0]
-            else:
-                c = cell_idx[live]
-                d = np.einsum("ipn,in->ip", Cs[c], x[live]) + cs[c]
-            u[live] = nn_forward_batch(scenario.controller, d)
-        x_next = x @ dyn.A.T + u @ dyn.B.T + noise[t]
-        x_next[~live] = x[~live]  # no measurement map: hold position
-        x = x_next
-        states[:, t + 1] = x
-        cell_idx = scenario.cell_index_many(x)
-        unsafe = _unsafe_mask(scenario, x, cell_idx)
-        fresh = unsafe & (first_hit > t + 1)
-        first_hit[fresh] = t + 1
-    return states, first_hit
+        every = live.all()
+        # Nearly every step has every trajectory live: then gather and scatter nothing.
+        x_live = x if every else x[:, live]
+        if shared:
+            # One measurement map for every cell (as in generated scenarios).
+            d = Cs[0] @ x_live + cs[0][:, None]
+        else:
+            c = cell_idx if every else cell_idx[live]
+            d = np.einsum("ipn,ni->pi", Cs[c], x_live) + cs[c].T
+        u = nn_forward_batch(scenario.controller, d.T).T
+        if not every:
+            u_all = np.zeros((dyn.m, N))
+            u_all[:, live] = u
+            u = u_all
+        x_next = dyn.A @ x + dyn.B @ u + noise[t].T
+        if not every:
+            x_next[:, ~live] = x[:, ~live]  # no measurement map: hold position
+        states[t + 1] = x_next
+        cell_idx = scenario.cell_index_many(x_next.T)
+        unsafe = _unsafe_mask(scenario, x_next.T, cell_idx)
+        first_hit[unsafe & (first_hit > t + 1)] = t + 1
+    return states.transpose(2, 0, 1), first_hit
 
 
 def simulate(scenario, x0, k, seed, index=0):

@@ -145,12 +145,24 @@ def nn_forward(net, d):
 
 
 def nn_forward_batch(net, D):
-    """Vectorized forward pass for an (N, input_dim) batch; returns (N, m)."""
-    H = np.asarray(D, dtype=float)
+    """Vectorized forward pass for an (N, input_dim) batch; returns (N, m).
+
+    Runs feature-major, ``W @ H + w`` on ``H = D.T``, and returns the
+    transpose of the (m, N) output, a view.  ``D`` may be C-ordered or a
+    transposed view of an (input_dim, N) array.
+    """
+    H = np.asarray(D, dtype=float).T
+    if H.ndim != 2 or H.shape[0] != net.input_dim:
+        raise ScenarioError(f"network batch shape {H.T.shape} is not (N, {net.input_dim})")
+    # In place, so at most two (width, N) arrays are live at once.
     for W, w in net.layers[:-1]:
-        H = np.maximum(H @ W.T + w, 0.0)
+        H = W @ H
+        H += w[:, None]
+        np.maximum(H, 0.0, out=H)
     W, w = net.layers[-1]
-    return H @ W.T + w
+    H = W @ H
+    H += w[:, None]
+    return H.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,6 +292,14 @@ class Scenario:
             table[tuple(slice(0, j + 1) for j in ranks[k])] = k
         return A, thresholds, np.array(table.strides) // table.itemsize, table.ravel()
 
+    @cached_property
+    def measurement_maps(self):
+        """``(Cs, cs, shared)``: the cells' measurement maps stacked in
+        partition order, and whether every cell has the same map."""
+        Cs = np.stack([cell.C for cell in self.partition])
+        cs = np.stack([cell.c for cell in self.partition])
+        return Cs, cs, bool(np.all(Cs == Cs[0]) and np.all(cs == cs[0]))
+
     @property
     def num_cells(self):
         return len(self.partition)
@@ -297,16 +317,17 @@ class Scenario:
         over those counts gives the first matching cell.  The indices are
         the per-cell loop's, with temporaries of O(N x rows).  Other
         partitions, and those whose table would be too large, loop over the
-        cells.
+        cells.  The points may be C-ordered or a transposed view of an
+        (n, N) array; the search runs on the contiguous rows of
+        ``A @ points.T``.
         """
         points = np.asarray(points, dtype=float)
         if self._rank_table is not None:
             A, thresholds, strides, table = self._rank_table
-            products = points @ A.T
             flat = np.zeros(len(points), dtype=int)
-            for r, t in enumerate(thresholds):
+            for row, t, stride in zip(A @ points.T, thresholds, strides):
                 # Offsets whose threshold lies below the point fail it; NaN fails all.
-                flat += np.searchsorted(t, products[:, r]) * strides[r]
+                flat += np.searchsorted(t, row) * stride
             return table[flat]
         idx = np.full(len(points), -1, dtype=int)
         rest = np.arange(len(points))

@@ -1,12 +1,15 @@
 """Simulation: determinism, noise statistics, stream independence, and the
 per-cell estimator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from relusafe import montecarlo as mc
 from relusafe import scenario as sc
-from relusafe.geometry import STRICT_MARGIN, Polytope
+from relusafe.geometry import EPS_GEO, STRICT_MARGIN, Polytope
+from tests.conftest import DEMO_OBSTACLE
 
 
 def test_same_seed_same_trajectory(demo_scenario):
@@ -244,31 +247,49 @@ def test_bound_truth_gap_widens_with_horizon(demo_scenario, demo_bounds):
 
 
 def reference_batch(scenario, x0s, k, seed):
-    """simulate_batch with each live state's measurement map gathered from
-    its own cell at every step."""
+    """simulate_batch row-major and without the package's batch layers: each
+    live state's measurement map gathered from its own cell, a per-cell
+    first-match lookup, and the test's own network pass, domain test and
+    obstacle test."""
     dyn, ws = scenario.dynamics, scenario.workspace
     noise = mc.stream(seed, 1).normal(size=(k, len(x0s), dyn.n)) * dyn.sigma
     Cs = np.stack([cell.C for cell in scenario.partition])
     cs = np.stack([cell.c for cell in scenario.partition])
 
+    def cell_index(x):
+        idx = np.full(len(x), -1)
+        for j in range(scenario.num_cells - 1, -1, -1):
+            region = scenario.partition[j].region
+            idx[np.all(x @ region.A.T - region.b <= EPS_GEO, axis=1)] = j
+        return idx
+
+    def network(d):
+        for W, w in scenario.controller.layers[:-1]:
+            d = np.maximum(d @ W.T + w, 0.0)
+        W, w = scenario.controller.layers[-1]
+        return d @ W.T + w
+
     def unsafe(x, idx):
-        return ((idx < 0) | np.any(x @ ws.domain.A.T - ws.domain.b > STRICT_MARGIN, axis=1)
-                | ws.in_obstacle_many(x))
+        bad = (idx < 0) | np.any(x @ ws.domain.A.T - ws.domain.b > STRICT_MARGIN, axis=1)
+        pos = x[:, list(ws.position_projection)]
+        for obs in ws.obstacles:
+            bad |= np.all(pos @ obs.A.T - obs.b <= 0.0, axis=1)
+        return bad
 
     x = np.array(x0s, dtype=float)
-    states, idx = [x], scenario.cell_index_many(x)
+    states, idx = [x], cell_index(x)
     first_hit = np.where(unsafe(x, idx), 0, k + 1)
     for t in range(k):
         live = idx >= 0
         u = np.zeros((len(x), dyn.m))
         if np.any(live):
             d = np.einsum("ipn,in->ip", Cs[idx[live]], x[live]) + cs[idx[live]]
-            u[live] = sc.nn_forward_batch(scenario.controller, d)
+            u[live] = network(d)
         step = x @ dyn.A.T + u @ dyn.B.T + noise[t]
         step[~live] = x[~live]
         x = step
         states.append(x)
-        idx = scenario.cell_index_many(x)
+        idx = cell_index(x)
         first_hit = np.where(unsafe(x, idx) & (first_hit > t + 1), t + 1, first_hit)
     return np.stack(states, axis=1), first_hit
 
@@ -291,3 +312,51 @@ def test_measurement_maps_match_per_cell_reference(demo_scenario, small_scenario
             want_states, want_hit = reference_batch(scenario, starts, 9, seed=index)
             assert np.array_equal(states, want_states)
             assert np.array_equal(first_hit, want_hit)
+
+
+@pytest.mark.parametrize("shape", [(2,), (3, 3), (4, 1)])
+def test_simulate_batch_rejects_misshapen_starts(demo_scenario, shape):
+    with pytest.raises(mc.MonteCarloError):
+        mc.simulate_batch(demo_scenario, np.ones(shape), 3, seed=0)
+
+
+def test_simulate_batch_of_no_starts_is_empty(demo_scenario):
+    states, first_hit = mc.simulate_batch(demo_scenario, np.empty((0, 2)), 3, seed=0)
+    assert states.shape == (0, 4, 2) and first_hit.shape == (0,)
+
+
+def digest(array):
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("workload, cell, digests", [
+    ("demo5", 0, ("c31b27ae9f92efba818af695fedf808d8b0644a74236b3a44badf9504bbe15e4",
+                  "cf9336c5c0ecb6603804f4ecabda5f7409e3666935cf2430857697c608492555",
+                  "b393978842a0fa3d3e1470196f098f473f9678e72463cb65ec4ab5581856c2e4")),
+    ("demo5", 16, ("c962d8ff1a334ebc3aac922786723e1f3a78709934445eb33a0fd1bbd5b9e972",
+                   "1084eef7e6bae2fea20f2d8eb24e5530b38997ad7a79819b5911e539a8ea3f88",
+                   "98c8cb424a86308297ab3aab16a71ea59f4e572313e7c18225f777cd580a4904")),
+    ("demo5", 21, ("f4b956926a7fec8958a08fd55c02dbcd319bc496a5ab27fc3be59b4472faae1a",
+                   "8c158a5d6b3aef8e9ecc01f02bf4f0c3eaa2521514f7e5874b9904277ffd2037",
+                   "3e034c601ab44b7e43d31fe02aa63f43870b9439e4bbbcd3d1424ff52103a140")),
+    ("deep3", 3, ("85ad95ede237fc0af7f136e1223c7b946b309122dd6a1c09a32340a7c60a5808",
+                  "8875541f4947d82dbb7978e15acdbfb9b9cba7dc665a3e95e3e3b74b36779ff0",
+                  "b41566327ca06dc45c352d3fc80d8f4997f867fca2e64a72736c977b46daf9c4")),
+    ("deep3", 6, ("f993860e69e26376866a91d76272532089af7acf59ea5af9def6b53a9e8bf7c6",
+                  "74d0df364dafd35a20f737afd93d4c10d133bf6958e19e5531ceb7db7c707c72",
+                  "defcd1191a390e32c6a2815f29303889b4c586360368f7d4f4b771999f60d15f")),
+])
+def test_falsifier_bytes_pinned(request, workload, cell, digests):
+    """SHA-256 of a 2 000-rollout, 9-step batch's states (as (N, k+1, n) in C
+    order) and first hits (int64), and of the estimate curve's
+    ``(hit_fraction, stddev)`` pairs, from uniform starts in one cell."""
+    if workload == "demo5":
+        scenario = request.getfixturevalue("demo_scenario")
+    else:
+        scenario = sc.make_demo_scenario(3, [16, 16, 16], seed=0, obstacles=[DEMO_OBSTACLE])
+    seed = 100 + cell
+    starts = mc.sample_in_polytope(scenario.partition[cell].region, 2000, mc.stream(seed, 0))
+    states, first_hit = mc.simulate_batch(scenario, starts, 9, seed)
+    curve = mc.estimate_true_pk_curve(scenario, cell, 9, 2000, seed)
+    values = np.array([(est.hit_fraction, est.stddev) for est in curve])
+    assert (digest(states), digest(first_hit.astype(np.int64)), digest(values)) == digests

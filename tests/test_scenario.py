@@ -185,6 +185,9 @@ def test_nn_forward_dimension_mismatch():
                                  (np.eye(2), np.zeros(2))), input_dim=2)
     with pytest.raises(sc.ScenarioError):
         sc.nn_forward(net, np.zeros(3))
+    for D in (np.zeros(2), np.zeros((4, 3))):
+        with pytest.raises(sc.ScenarioError):
+            sc.nn_forward_batch(net, D)
 
 
 def test_batch_forward_matches_single(rng):
@@ -275,11 +278,16 @@ def test_roundtrip_preserves_hash(demo_scenario):
     assert sc.scenario_sha256(again) == sc.scenario_sha256(demo_scenario)
 
 
+def row_major_inside(poly, points, tol=EPS_GEO):
+    """Halfspace test on the (N, rows) products ``points @ A.T``."""
+    return np.all(points @ poly.A.T - poly.b <= tol, axis=1)
+
+
 def first_match_reference(scenario, points):
-    """Per-cell first-match lookup through :meth:`Polytope.contains_many`."""
+    """Per-cell first-match lookup, row-major."""
     idx = np.full(len(points), -1, dtype=int)
     for k in range(scenario.num_cells - 1, -1, -1):
-        idx[scenario.partition[k].region.contains_many(points)] = k
+        idx[row_major_inside(scenario.partition[k].region, points)] = k
     return idx
 
 
@@ -377,6 +385,50 @@ def test_cell_index_many_non_finite_and_empty(demo_scenario):
     assert got.tolist() == want.tolist()
     empty = demo_scenario.cell_index_many(np.empty((0, 2)))
     assert empty.shape == (0,) and empty.dtype == int
+
+
+def row_major_forward(net, D):
+    H = D
+    for W, w in net.layers[:-1]:
+        H = np.maximum(H @ W.T + w, 0.0)
+    W, w = net.layers[-1]
+    return H @ W.T + w
+
+
+@pytest.mark.parametrize("layer", ["contains_many", "cell_index_many", "in_obstacle_many",
+                                   "nn_forward_batch"])
+def test_batch_layers_accept_either_layout(demo_scenario, rng, layer):
+    """Each batch layer equals its row-major reference on C-ordered points,
+    on a transposed view of an (n, N) array, with NaN and +-inf rows, and on
+    an empty batch.  Points on a 1/8 grid (many on faces) and a net with
+    integer weights keep every sum exact, so summation order cannot matter."""
+    bad = np.array([np.nan, np.inf, -np.inf])
+    inner = np.full(3, 3.0)
+    points = np.vstack([rng.integers(-8, 88, size=(400, 2)) / 8.0,
+                        np.column_stack([bad, inner]), np.column_stack([inner, bad]),
+                        np.stack(np.meshgrid(bad, bad), axis=-1).reshape(-1, 2)])
+    tri = Polytope(np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]), np.array([-1.0, -2.0, 9.0]))
+    ws = demo_scenario.workspace
+    net = sc.ReluNetwork(layers=tuple((rng.integers(-3, 4, size=(rows, cols)).astype(float),
+                                       rng.integers(-3, 4, size=rows).astype(float))
+                                      for rows, cols in ((6, 2), (5, 6), (2, 5))), input_dim=2)
+    got, want = {
+        "contains_many": (tri.contains_many, lambda p: row_major_inside(tri, p)),
+        "cell_index_many": (demo_scenario.cell_index_many,
+                            lambda p: first_match_reference(demo_scenario, p)),
+        "in_obstacle_many": (ws.in_obstacle_many,
+                             lambda p: np.any([row_major_inside(obs, p[:, [0, 1]], tol=0.0)
+                                               for obs in ws.obstacles], axis=0)),
+        "nn_forward_batch": (lambda p: sc.nn_forward_batch(net, p),
+                             lambda p: row_major_forward(net, p)),
+    }[layer]
+    with np.errstate(invalid="ignore"):
+        expect = want(points)
+        for batch in (points, np.ascontiguousarray(points.T).T, points[:0]):
+            result = got(batch)
+            assert result.shape == expect[:len(batch)].shape
+            assert np.array_equal(result, expect[:len(batch)], equal_nan=True)
+    assert len(np.unique(expect)) > 1
 
 
 def test_cell_index_many_huge_table_uses_the_loop(demo_scenario, rng, monkeypatch):
