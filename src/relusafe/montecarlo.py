@@ -21,10 +21,13 @@ batch of one drawn from stream ``(seed, 1 + index)``.
 
 A batch runs state-major: each step's states are an (n, N) array, so the
 dynamics, the measurement map and the network are matrix products from
-the left, and each halfspace test reads one contiguous row of products.
+the left, and each step is written in place into its slot of the states.
 While every trajectory lies in some cell, as nearly all do at nearly every
-step, a step gathers and scatters nothing.  Callers still see (N, ...)
-arrays.
+step, a step gathers and scatters nothing.  Each step's cells and unsafe
+flags come from :meth:`~relusafe.scenario.Scenario.classify_many`: for a
+scenario of boxes, one ``searchsorted`` per axis on the contiguous rows of
+the states and two gathers from one table over the per-axis ranks.
+Callers still see (N, ...) arrays.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import STRICT_MARGIN, GeometryError, chebyshev_center
+from .geometry import GeometryError, chebyshev_center
 from .scenario import closed_loop_mean_step, nn_forward_batch
 
 _MASK64 = (1 << 64) - 1
@@ -76,10 +79,12 @@ def stream(seed, index):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _unsafe_mask(scenario, points, cell_idx):
-    ws = scenario.workspace
-    return ((cell_idx < 0) | ~ws.domain.contains_many(points, tol=STRICT_MARGIN)
-            | ws.in_obstacle_many(points))
+def _starts(scenario, x0s):
+    x0s = np.asarray(x0s, dtype=float)
+    n = scenario.dynamics.n
+    if x0s.ndim != 2 or x0s.shape[1] != n:
+        raise MonteCarloError(f"initial states of shape {x0s.shape} are not (N, {n})")
+    return x0s
 
 
 def simulate_batch(scenario, x0s, k, seed, base_index=1):
@@ -88,28 +93,29 @@ def simulate_batch(scenario, x0s, k, seed, base_index=1):
     ``x0s`` is (N, n).  ``states`` is (N, k+1, n), a transposed view of the
     state-major (k+1, n, N) array the rollout fills; ``first_hit`` holds
     the first unsafe step per trajectory (k+1 when never unsafe).  The
-    noise is one draw ``stream(seed, base_index).normal(size=(k, N, n)) *
-    sigma``, and step ``t`` adds its row ``t``, so a shorter horizon reads
-    a prefix of the same noise.  Trajectory ``i`` of a batch of more than
-    one is not :func:`simulate` with ``index=i``.
+    noise is one draw ``z = stream(seed, base_index).normal(size=(k, N,
+    n))``, and step ``t`` adds row ``t`` of ``z * sigma``, so a shorter
+    horizon reads a prefix of the same noise.  Each step draws its own
+    row, which reads the same numbers as the whole block, and scales it
+    straight into state-major layout, so one row is held at a time.
+    Trajectory ``i`` of a batch of more than one is not :func:`simulate`
+    with ``index=i``.
     """
     if k < 0:
         raise MonteCarloError(f"horizon {k} is negative")
-    x0s = np.asarray(x0s, dtype=float)
+    x0s = _starts(scenario, x0s)
     dyn = scenario.dynamics
-    if x0s.ndim != 2 or x0s.shape[1] != dyn.n:
-        raise MonteCarloError(f"initial states of shape {x0s.shape} are not (N, {dyn.n})")
     N, n = x0s.shape
-    noise = stream(seed, base_index).normal(size=(k, N, n)) * dyn.sigma
+    rng = stream(seed, base_index)
+    sigma = dyn.sigma[:, None]
     Cs, cs, shared = scenario.measurement_maps
 
     states = np.empty((k + 1, n, N))
     states[0] = x0s.T
-    first_hit = np.full(N, k + 1, dtype=int)
-    cell_idx = scenario.cell_index_many(x0s)
-    first_hit[_unsafe_mask(scenario, x0s, cell_idx)] = 0
+    cell_idx, unsafe = scenario.classify_many(x0s)
+    first_hit = np.where(unsafe, 0, k + 1)
     for t in range(k):
-        x = states[t]
+        x, x_next = states[t], states[t + 1]
         live = cell_idx >= 0
         every = live.all()
         # Nearly every step has every trajectory live: then gather and scatter nothing.
@@ -125,12 +131,13 @@ def simulate_batch(scenario, x0s, k, seed, base_index=1):
             u_all = np.zeros((dyn.m, N))
             u_all[:, live] = u
             u = u_all
-        x_next = dyn.A @ x + dyn.B @ u + noise[t].T
+        np.matmul(dyn.A, x, out=x_next)
+        x_next += dyn.B @ u
+        # Row t of the (k, N, n) draw, scaled state-major: the products of z * sigma.
+        x_next += np.multiply(rng.normal(size=(N, n)).T, sigma, order="C")
         if not every:
             x_next[:, ~live] = x[:, ~live]  # no measurement map: hold position
-        states[t + 1] = x_next
-        cell_idx = scenario.cell_index_many(x_next.T)
-        unsafe = _unsafe_mask(scenario, x_next.T, cell_idx)
+        cell_idx, unsafe = scenario.classify_many(x_next.T)
         first_hit[unsafe & (first_hit > t + 1)] = t + 1
     return states.transpose(2, 0, 1), first_hit
 
@@ -141,7 +148,7 @@ def simulate(scenario, x0, k, seed, index=0):
     A batch of one (:func:`simulate_batch` with ``base_index = 1 + index``):
     its noise is stream ``(seed, 1 + index)`` drawn as one ``(k, n)`` block.
     """
-    x0 = np.asarray(x0, dtype=float).reshape(1, -1)
+    x0 = _starts(scenario, np.reshape(x0, (1, -1)))
     if not scenario.workspace.domain.contains(x0[0]):
         raise MonteCarloError(f"initial state {x0[0]} outside the domain")
     states, first_hit = simulate_batch(scenario, x0, k, seed, base_index=1 + index)

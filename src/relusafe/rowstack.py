@@ -114,10 +114,22 @@ class RowStack:
         self.pair = np.full((width, width), upper_i.size)
         self.pair[upper_i, upper_j] = self.pair[upper_j, upper_i] = np.arange(upper_i.size)
         self.block = max(1, _PAIR_BUDGET // self.pair_i.size)
+        self._merged = {}
 
     def order_key(self, node):
         """``kind rank * base + first cell``, an integer."""
         return _KIND_RANK[node.kind] * self.base + (node.cells[0] if node.cells else 0)
+
+    def merged(self, x, y):
+        """The node that replaces targets ``x`` and ``y``, and its order key.
+
+        Memoized per pair: many rows and steps merge the same two targets.
+        """
+        found = self._merged.get((x, y))
+        if found is None:
+            node = merged_node(x.cells + y.cells)
+            found = self._merged[x, y] = (node, self.order_key(node))
+        return found
 
     def separation(self, sep):
         """Group separation of :attr:`nodes` from the cell matrix ``sep``,
@@ -223,12 +235,11 @@ class _Block:
             score[r, at_y] = -np.inf
             for o, xs, ys, bound in zip(rows.tolist(), x.tolist(), y.tolist(), new.tolist()):
                 targets = self.targets[o]
-                node = merged_node(targets[xs].cells + targets[ys].cells)
+                node, self.key[o, xs] = stack.merged(targets[xs], targets[ys])
                 records[o].append(MergeRecord(owner=self.owners[o],
                                               members=(targets[xs], targets[ys]),
                                               merged=node, new_bound=bound, horizon=horizon))
                 targets[xs], targets[ys] = node, None
-                self.key[o, xs] = stack.order_key(node)
         return [rec for recs in records for rec in recs]
 
     def _pick(self, score, rows, best):

@@ -6,6 +6,13 @@ ReLU controller fed by a per-cell affine measurement ``d(x) = C x + c``, a
 polytopic workspace with obstacles, and a convex partition of the domain.
 Scenarios are immutable after load and safe to share across workers.
 
+Point location (:meth:`Scenario.classify_many`, :meth:`Scenario.cell_index_many`)
+gives each state its first containing cell and whether it is unsafe.
+When every cell, the domain and every obstacle is a box, it ranks each
+coordinate among exact per-row pass thresholds, one sorted array per
+axis, and reads both answers off one table over the ranks; otherwise it
+tests the cells one by one.
+
 The on-disk form is a single self-contained JSON document (see
 :func:`load_scenario`); all reals are decimal and parsed as 64-bit floats.
 """
@@ -24,7 +31,7 @@ from .geometry import (EPS_GEO, STRICT_MARGIN, GeometryError, Polytope, box_pair
                        is_empty_intersection, outside_facets)
 
 SCENARIO_FORMAT = "relusafe-scenario-v1"
-# Most entries of a cell lookup table (8 MB); larger partitions loop over their cells.
+# Most entries of the per-axis lookup table (9 MB); larger partitions loop over their cells.
 _RANK_TABLE_CAP = 1 << 20
 # Points per axis of the grid on which validation checks coverage of the domain.
 COVERAGE_SAMPLES = 40
@@ -256,41 +263,67 @@ class Scenario:
         object.__setattr__(self, "partition", tuple(self.partition))
 
     @cached_property
-    def _rank_table(self):
-        """``(A, thresholds, strides, table)`` for the rank-table lookup, else None.
+    def _axis_table(self):
+        """``(cuts, strides, cells, unsafe)`` for the per-axis lookup, else None.
 
-        Requires every cell region ``k`` to be ``A x <= b_k`` for one matrix
-        ``A``.  ``thresholds[r]`` holds, for the distinct values of
-        ``b_k[r]`` in ascending order, the largest ``a`` that passes the
-        membership test against each.  A point with ``a = A[r] . x`` fails
-        exactly the offsets whose threshold lies below ``a``, a prefix of
-        them, so cell ``k`` holds it in row ``r`` exactly when the rank of
-        ``b_k[r]`` is at least that count, and the first cell holding it is
-        ``table[counts @ strides]``.  None also when the table would have
-        more than ``_RANK_TABLE_CAP`` entries.
+        Requires every row of every cell, of the domain and of each lifted
+        obstacle to be ``+-x_d <= b``, as :meth:`Polytope.box` builds them,
+        and every cell to be bounded.  The test ``+-x_d - b <= tol`` of such
+        a row passes on one side of a cut on axis ``d``: ``x_d <= t`` for
+        ``+x_d`` and, by exact negation, ``x_d >= -t`` for ``-x_d``, where
+        ``t`` is the pass threshold of ``b`` at the test's own tolerance
+        (``EPS_GEO`` for cells, ``STRICT_MARGIN`` for the domain, 0 for
+        obstacles).  ``cuts[d]`` holds every cut of axis ``d`` in ascending
+        order and then NaN, so a coordinate's rank
+        ``searchsorted(cuts[d], x_d, "right")`` fixes the outcome of every
+        test on that axis, and a NaN coordinate has a rank of its own that
+        passes none.  Over the ranks of all axes (flat index ``ranks @
+        strides``), ``cells`` holds the first cell containing the point (-1
+        if none) and ``unsafe`` whether it lies in no cell, outside the
+        domain or in an obstacle.  None also when the table would have more
+        than ``_RANK_TABLE_CAP`` entries.
         """
-        if not self.partition:
+        ws = self.workspace
+        tests = ([(cell.region, EPS_GEO) for cell in self.partition]
+                 + [(ws.domain, STRICT_MARGIN)] + [(obs, 0.0) for obs in ws.lifted_obstacles()])
+        boxes = [_unit_box(poly) for poly, _ in tests]
+        if not self.partition or any(box is None for box in boxes) or not all(
+                np.all(np.isfinite(box)) for box in boxes[:self.num_cells]):
             return None
-        A = self.partition[0].region.A
-        if not all(np.array_equal(cell.region.A, A) for cell in self.partition):
-            return None
-        b = np.stack([cell.region.b for cell in self.partition])
-        thresholds = []
-        ranks = np.empty(b.shape, dtype=int)
-        for r in range(A.shape[0]):
-            # Sorted in Python: the few offsets do not justify paging in
-            # NumPy's sort kernels, which adds a quarter megabyte of memory.
-            values = sorted(set(b[:, r].tolist()))
-            thresholds.append(np.array([_pass_threshold(v) for v in values]))
-            ranks[:, r] = np.searchsorted(values, b[:, r])
-        shape = tuple(len(t) + 1 for t in thresholds)
+        # Per test and axis, the first passing cut (x >= low) and the first
+        # failing one (x >= high); None for no row on that side.
+        spans = [[(-_pass_threshold(-lo, tol) if lo > -math.inf else None,
+                   math.nextafter(_pass_threshold(hi, tol), math.inf) if hi < math.inf else None)
+                  for lo, hi in zip(box[0].tolist(), box[1].tolist())]
+                 for (_, tol), box in zip(tests, boxes)]
+        # Sorted in Python: the few cuts do not justify paging in NumPy's
+        # sort kernels, which adds a quarter megabyte of memory.
+        cuts = [sorted({cut for span in spans for cut in span[d] if cut is not None})
+                for d in range(ws.domain.dim)]
+        shape = tuple(len(axis) + 2 for axis in cuts)
         if math.prod(shape) > _RANK_TABLE_CAP:
             return None
-        table = np.full(shape, -1, dtype=int)
-        # Each cell holds a box of count tuples; the lowest index is written last.
-        for k in range(len(b) - 1, -1, -1):
-            table[tuple(slice(0, j + 1) for j in ranks[k])] = k
-        return A, thresholds, np.array(table.strides) // table.itemsize, table.ravel()
+        rank = [{cut: i for i, cut in enumerate(axis)} for axis in cuts]
+
+        def passing(span):
+            # Ranks that pass every row: past the low cut, up to the high
+            # one, never the NaN rank len(axis) + 1.
+            return tuple(slice(0 if low is None else rank[d][low] + 1,
+                               len(cuts[d]) + 1 if high is None else rank[d][high] + 1)
+                         for d, (low, high) in enumerate(span))
+
+        cells = np.full(shape, -1, dtype=int)
+        # The lowest index is written last.
+        for k in range(self.num_cells - 1, -1, -1):
+            cells[passing(spans[k])] = k
+        unsafe = np.ones(shape, dtype=bool)
+        unsafe[passing(spans[self.num_cells])] = False
+        unsafe |= cells < 0
+        for span in spans[self.num_cells + 1:]:
+            unsafe[passing(span)] = True
+        strides = [stride // cells.itemsize for stride in cells.strides]
+        return ([np.array(axis + [math.nan]) for axis in cuts], strides,
+                cells.ravel(), unsafe.ravel())
 
     @cached_property
     def measurement_maps(self):
@@ -310,25 +343,49 @@ class Scenario:
         Membership is :meth:`Polytope.contains_many`'s test
         ``a - b <= EPS_GEO`` per halfspace row, so a point on a shared face
         belongs to the lower-indexed cell, and a NaN coordinate or a point
-        outside every cell gives -1.  When every cell has the same halfspace
-        matrix (a grid of boxes), the points are multiplied by it once; per
-        row, a binary search against exact per-offset thresholds of that
-        test counts the cells' distinct offsets a point fails, and a table
-        over those counts gives the first matching cell.  The indices are
-        the per-cell loop's, with temporaries of O(N x rows).  Other
-        partitions, and those whose table would be too large, loop over the
-        cells.  The points may be C-ordered or a transposed view of an
-        (n, N) array; the search runs on the contiguous rows of
-        ``A @ points.T``.
+        outside every cell gives -1.  When the cells, the domain and the
+        obstacles are boxes (see :meth:`classify_many`), the index is read
+        off the per-axis table; otherwise the cells are tested one by one.
         """
         points = np.asarray(points, dtype=float)
-        if self._rank_table is not None:
-            A, thresholds, strides, table = self._rank_table
-            flat = np.zeros(len(points), dtype=int)
-            for row, t, stride in zip(A @ points.T, thresholds, strides):
-                # Offsets whose threshold lies below the point fail it; NaN fails all.
-                flat += np.searchsorted(t, row) * stride
-            return table[flat]
+        if self._axis_table is not None:
+            return self._axis_table[2][self._table_index(points)]
+        return self._first_cell(points)
+
+    def classify_many(self, points):
+        """``(cell index, unsafe)`` of each of the (N, n) points.
+
+        The index is :meth:`cell_index_many`'s.  A point is unsafe when no
+        cell contains it, when it violates a domain halfspace by more than
+        ``STRICT_MARGIN`` or when its position lies in a closed obstacle.
+        When the cells, the domain and the obstacles are all boxes, one
+        ``searchsorted`` per axis ranks the coordinates among exact
+        per-row pass thresholds and one table over the ranks gives both
+        answers, equal to the per-row tests bit for bit, NaN and +-inf
+        included.  Other scenarios loop over the cells and test the domain
+        and the obstacles row by row.  The points may be C-ordered or a
+        transposed view of an (n, N) array, whose rows the search then
+        reads contiguously.
+        """
+        points = np.asarray(points, dtype=float)
+        if self._axis_table is not None:
+            _, _, cells, unsafe = self._axis_table
+            flat = self._table_index(points)
+            return cells[flat], unsafe[flat]
+        cell_idx = self._first_cell(points)
+        ws = self.workspace
+        return cell_idx, ((cell_idx < 0) | ~ws.domain.contains_many(points, tol=STRICT_MARGIN)
+                          | ws.in_obstacle_many(points))
+
+    def _table_index(self, points):
+        """Flat index into :attr:`_axis_table` of each of the (N, n) points."""
+        cuts, strides, _, _ = self._axis_table
+        flat = np.zeros(len(points), dtype=int)
+        for coords, axis, stride in zip(points.T, cuts, strides):
+            flat += np.searchsorted(axis, coords, side="right") * stride
+        return flat
+
+    def _first_cell(self, points):
         idx = np.full(len(points), -1, dtype=int)
         rest = np.arange(len(points))
         for k, cell in enumerate(self.partition):
@@ -340,18 +397,27 @@ class Scenario:
         return idx
 
 
-def _pass_threshold(u):
-    """Largest ``a`` with ``a - u <= EPS_GEO`` in floating point.
+def _unit_box(poly):
+    """:meth:`Polytope.axis_bounds` of a polytope whose every row is
+    ``+-x_d <= b``, else None."""
+    bounds = poly.axis_bounds()
+    if bounds is None or not np.all(np.abs(poly.A).sum(axis=1) == 1.0):
+        return None
+    return bounds
+
+
+def _pass_threshold(u, tol):
+    """Largest ``a`` with ``a - u <= tol`` in floating point.
 
     ``a - u`` rounds monotonically in ``a``, so the test holds exactly for
     ``a`` up to the threshold and fails above it (and for NaN).  Rounding
-    puts ``u + EPS_GEO`` next to the threshold, and the test itself moves
-    it onto the exact boundary.
+    puts ``u + tol`` next to the threshold, and the test itself moves it
+    onto the exact boundary.
     """
-    t = u + EPS_GEO
-    while t - u > EPS_GEO:
+    t = u + tol
+    while t - u > tol:
         t = math.nextafter(t, -math.inf)
-    while math.nextafter(t, math.inf) - u <= EPS_GEO:
+    while math.nextafter(t, math.inf) - u <= tol:
         t = math.nextafter(t, math.inf)
     return t
 

@@ -230,6 +230,11 @@ def test_initial_state_outside_domain_rejected(demo_scenario):
         mc.simulate(demo_scenario, [99.0, 99.0], 3, seed=0)
 
 
+def test_initial_state_of_wrong_length_rejected(demo_scenario):
+    with pytest.raises(mc.MonteCarloError, match="not \\(N, 2\\)"):
+        mc.simulate(demo_scenario, [1.0, 2.0, 3.0], 3, seed=0)
+
+
 def test_bound_truth_gap_widens_with_horizon(demo_scenario, demo_bounds):
     """Trend check: the conservatism (bound minus MC estimate) grows with
     the horizon for an interior cell."""
@@ -360,3 +365,25 @@ def test_falsifier_bytes_pinned(request, workload, cell, digests):
     curve = mc.estimate_true_pk_curve(scenario, cell, 9, 2000, seed)
     values = np.array([(est.hit_fraction, est.stddev) for est in curve])
     assert (digest(states), digest(first_hit.astype(np.int64)), digest(values)) == digests
+
+
+def test_mixed_maps_and_dead_trajectories_pinned(demo_scenario):
+    """SHA-256 of a batch on demo5 with cell 12's measurement map changed
+    and cell 6 removed, from starts over [1, 5]^2: trajectories in the hole
+    are dead from the start and others die later, so steps gather the live
+    states and their own cells' maps, and the dead ones hold position."""
+    cells = list(demo_scenario.partition)
+    mid = cells[12]
+    cells[12] = sc.PartitionCell(id=mid.id, region=mid.region, C=2.0 * mid.C, c=mid.c + 0.5)
+    del cells[6]
+    holed = sc.Scenario(dynamics=demo_scenario.dynamics, controller=demo_scenario.controller,
+                        workspace=demo_scenario.workspace, partition=tuple(cells))
+    assert not holed.measurement_maps[2]
+    starts = mc.sample_in_polytope(Polytope.box([1.0, 1.0], [5.0, 5.0]), 2000, mc.stream(77, 0))
+    states, first_hit = mc.simulate_batch(holed, starts, 9, 77)
+    dead = holed.cell_index_many(states[:, 4]) < 0
+    assert 0 < np.count_nonzero(dead) < len(dead)
+    assert np.array_equal(states[dead, 5], states[dead, 4])
+    assert (digest(states), digest(first_hit.astype(np.int64))) == (
+        "474e0a401d18e694265d713c57ab73e5eaa09f0ea67e8db002cddd92cb5587e2",
+        "0ec5323cc6dfc76b57ab62bf57e550c3d98ddb53ebb7f55de9c596a03e83bbe5")

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from relusafe import scenario as sc
-from relusafe.geometry import EPS_GEO, Polytope
+from relusafe.geometry import EPS_GEO, STRICT_MARGIN, Hyperplane, Polytope, split
+from tests.conftest import DEMO_OBSTACLE
 
 MINIMAL_DOC = {
     "format": sc.SCENARIO_FORMAT,
@@ -431,21 +432,136 @@ def test_batch_layers_accept_either_layout(demo_scenario, rng, layer):
     assert len(np.unique(expect)) > 1
 
 
-def test_cell_index_many_huge_table_uses_the_loop(demo_scenario, rng, monkeypatch):
-    """A 32x32 grid of boxes would need a 33^4-entry table, above the cap."""
-    edges = np.linspace(0.0, 10.0, 33)
+def box_grid(scenario, grid):
+    """``scenario`` with its partition replaced by a ``grid x grid`` box grid."""
+    edges = np.linspace(0.0, 10.0, grid + 1)
     cells = tuple(sc.PartitionCell(id=f"c{i}_{j}",
                                    region=Polytope.box([edges[i], edges[j]],
                                                        [edges[i + 1], edges[j + 1]]),
                                    C=np.eye(2), c=np.zeros(2))
-                  for i in range(32) for j in range(32))
-    fine = sc.Scenario(dynamics=demo_scenario.dynamics, controller=demo_scenario.controller,
-                       workspace=demo_scenario.workspace, partition=cells)
+                  for i in range(grid) for j in range(grid))
+    return sc.Scenario(dynamics=scenario.dynamics, controller=scenario.controller,
+                       workspace=scenario.workspace, partition=cells)
+
+
+def test_cell_index_many_32x32_grid_stays_on_the_table(demo_scenario, rng, monkeypatch):
+    """A 32x32 grid needs a 70x70 table: 2 cuts per cell edge, 2 per domain
+    edge and 2 per obstacle edge on each axis, plus the NaN rank."""
+    fine = box_grid(demo_scenario, 32)
     points = rng.uniform(-1.0, 11.0, size=(500, 2))
     want = first_match_reference(fine, points)
     calls = spy_contains_many(monkeypatch)
     assert fine.cell_index_many(points).tolist() == want.tolist()
-    assert calls  # the per-cell loop
+    assert not calls
+    assert len(fine._axis_table[2]) == 70 * 70
+
+
+def test_cell_index_many_over_the_cap_uses_the_loop(demo_scenario, rng, monkeypatch):
+    """A table above the cap (demo5's is 16x16) gives way to the per-cell loop."""
+    monkeypatch.setattr(sc, "_RANK_TABLE_CAP", 16 * 16 - 1)
+    capped = box_grid(demo_scenario, 5)
+    points = lookup_points(capped, rng)
+    want = first_match_reference(capped, points)
+    calls = spy_contains_many(monkeypatch)
+    assert capped.cell_index_many(points).tolist() == want.tolist()
+    assert calls
+    assert capped._axis_table is None
+
+
+@pytest.mark.parametrize("tol", [0.0, EPS_GEO, STRICT_MARGIN])
+def test_pass_threshold_is_the_exact_boundary(rng, tol):
+    """The test ``a - u <= tol`` holds at the threshold and fails one ulp
+    above, also for offsets near the tolerance, where ``u + tol`` can round
+    to either side of the boundary."""
+    tiny = rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(-12.0, -6.0, 2000)
+    offsets = np.concatenate([[0.0, -0.0, 1.0, -2.5, 1e-300], rng.uniform(-20.0, 20.0, 2000),
+                              rng.integers(-80, 80, 200) / 8.0, tiny])
+    for u in offsets.tolist():
+        t = sc._pass_threshold(u, tol)
+        assert t - u <= tol < np.nextafter(t, np.inf) - u
+
+
+def unsafe_reference(scenario, points):
+    """No cell, a domain row violated by more than STRICT_MARGIN, or a
+    position in a closed obstacle; row-major."""
+    ws = scenario.workspace
+    bad = first_match_reference(scenario, points) < 0
+    bad |= ~row_major_inside(ws.domain, points, tol=STRICT_MARGIN)
+    for obs in ws.obstacles:
+        bad |= row_major_inside(obs, points[:, list(ws.position_projection)], tol=0.0)
+    return bad
+
+
+def classifier_points(scenario, rng):
+    """Every offset of a cell, domain or obstacle row, its nextafter
+    neighbours, the offsets +-EPS_GEO and +-STRICT_MARGIN with their
+    nextafter neighbours, NaN and +-inf, crossed with each other and with
+    random coordinates, and random points over and around the domain."""
+    ws = scenario.workspace
+    polys = [cell.region for cell in scenario.partition] + [ws.domain] + ws.lifted_obstacles()
+    faces = np.unique(np.concatenate([np.abs(poly.b) for poly in polys]
+                                     + [np.concatenate(poly.bounding_box()) for poly in polys]))
+    up, down = np.inf, -np.inf
+    near = [faces, np.nextafter(faces, up), np.nextafter(faces, down)]
+    for tol in (EPS_GEO, STRICT_MARGIN):
+        for edge in (faces + tol, faces - tol):
+            near += [edge, np.nextafter(edge, up), np.nextafter(edge, down)]
+    special = np.concatenate(near + [[np.nan, np.inf, -np.inf]])
+    free = rng.uniform(-1.0, 11.0, size=len(special))
+    return np.vstack([rng.uniform(-1.0, 11.0, size=(2000, 2)),
+                      np.column_stack([special, free]), np.column_stack([free, special]),
+                      np.stack(np.meshgrid(special, special), axis=-1).reshape(-1, 2)])
+
+
+def two_obstacles(scenario):
+    """``scenario`` in a workspace with two obstacles, one of them flush with a cell face."""
+    ws = sc.Workspace(domain=scenario.workspace.domain,
+                      obstacles=(Polytope.box([6.5, 2.5], [7.5, 3.5]),
+                                 Polytope.box([2.0, 6.25], [3.125, 8.0])),
+                      position_projection=(0, 1))
+    return sc.Scenario(dynamics=scenario.dynamics, controller=scenario.controller,
+                       workspace=ws, partition=scenario.partition)
+
+
+def oblique_refinement(scenario):
+    """The demo grid with its centre cell cut along x + y = 10 (not boxes)."""
+    cells = list(scenario.partition)
+    mid = cells[12]
+    halves = [sc.PartitionCell(id=f"{mid.id}{tag}", region=half, C=mid.C, c=mid.c)
+              for tag, half in zip("ab", split(mid.region, Hyperplane([1.0, 1.0], 10.0)))]
+    return sc.Scenario(dynamics=scenario.dynamics, controller=scenario.controller,
+                       workspace=scenario.workspace,
+                       partition=tuple(cells[:12] + halves + cells[13:]))
+
+
+@pytest.mark.parametrize("case", ["demo5", "deep3", "grid6", "split", "two_obstacles",
+                                  "oblique"])
+def test_classify_many_matches_row_major_rules(demo_scenario, rng, monkeypatch, case):
+    """Cell index and unsafe flag equal the per-row tests bit for bit on
+    points at and around every test's boundary; the oblique refinement
+    takes the per-cell loop, every other case the per-axis table."""
+    obstacle = [DEMO_OBSTACLE]
+    scenario = {
+        "demo5": lambda: demo_scenario,
+        "deep3": lambda: sc.make_demo_scenario(3, [16, 16, 16], seed=0, obstacles=obstacle),
+        "grid6": lambda: sc.make_demo_scenario(6, [8, 8], seed=0, obstacles=obstacle),
+        "split": lambda: split_partition(demo_scenario),
+        "two_obstacles": lambda: two_obstacles(demo_scenario),
+        "oblique": lambda: oblique_refinement(demo_scenario),
+    }[case]()
+    points = classifier_points(scenario, rng)
+    with np.errstate(invalid="ignore"):
+        want_cell = first_match_reference(scenario, points)
+        want_unsafe = unsafe_reference(scenario, points)
+        calls = spy_contains_many(monkeypatch)
+        for batch in (points, np.ascontiguousarray(points.T).T):
+            cell_idx, unsafe = scenario.classify_many(batch)
+            assert cell_idx.tolist() == want_cell.tolist()
+            assert unsafe.tolist() == want_unsafe.tolist()
+    assert bool(calls) == (case == "oblique")
+    assert (scenario._axis_table is None) == (case == "oblique")
+    assert want_unsafe.any() and not want_unsafe.all()
+    assert len(np.unique(want_cell[~want_unsafe])) == scenario.num_cells
 
 
 def test_thin_hole_between_grid_samples_rejected(demo_scenario):
