@@ -15,8 +15,8 @@ as every grid cell has) also carry closed-form bounds:
 :meth:`Polytope.axis_bounds`, from which :func:`box_pairs` decides many
 pairs at once by intervals wherever the answer clears :data:`BOX_BAND`.
 Callers send only the pairs it leaves undecided, and pairs with a non-box
-member, to the LP; :func:`empty_intersections` sends one polytope's pairs
-as one LP batch.
+member, to the LP; :func:`empty_intersections` sends a list of pairs as
+one LP batch.
 """
 
 from __future__ import annotations
@@ -163,35 +163,45 @@ class Polytope:
         """Tight axis-aligned (lo, hi); memoized.
 
         Read off :meth:`axis_bounds` for a non-empty axis-aligned polytope,
-        otherwise from 2n support LPs.
+        otherwise from 2n support LPs, solved as one
+        :func:`relusafe.linprog.solve_many` batch and read in axis order,
+        the minimum before the maximum, as :meth:`extreme` reads each.
         """
         if self._bbox is None:
             axis = self.axis_bounds()
             if axis is not None and np.all(axis[0] <= axis[1]):
                 self._bbox = axis
                 return self._bbox
-            n = self.dim
-            lo = np.empty(n)
-            hi = np.empty(n)
-            for d in range(n):
-                e = np.zeros(n)
-                e[d] = 1.0
-                lo[d] = self.extreme(e, "min")
-                hi[d] = self.extreme(e, "max")
-            self._bbox = (lo, hi)
+            eye = np.eye(self.dim)
+            results = linprog.solve_many(
+                [self._support_lp(e, sense) for e in eye for sense in ("min", "max")])
+            values = np.array([_support_value(res, sense)
+                               for res, sense in zip(results, ("min", "max") * self.dim)])
+            self._bbox = (values[0::2], values[1::2])
         return self._bbox
+
+    def _support_lp(self, direction, sense):
+        return linprog.LinearProgram(self.A, self.b, objective=(sense, direction))
 
     def extreme(self, direction, sense):
         """Min or max of ``direction . x`` over the polytope (inf if unbounded)."""
-        res = linprog.solve(linprog.LinearProgram(self.A, self.b, objective=(sense, direction)))
-        if isinstance(res, linprog.Infeasible):
-            raise EmptyPolytopeError("extreme of an empty polytope")
-        if isinstance(res, linprog.Unbounded):
-            return -math.inf if sense == "min" else math.inf
-        return float(res.objective_value)
+        return _support_value(linprog.solve(self._support_lp(direction, sense)), sense)
 
     def __repr__(self):
         return f"Polytope(dim={self.dim}, halfspaces={self.num_halfspaces})"
+
+
+def _support_value(res, sense):
+    """The value of a support LP's result: its optimum, or -inf/+inf when
+    unbounded; raises :class:`EmptyPolytopeError` when infeasible and the
+    :class:`relusafe.linprog.LpNumericalError` a batch slot holds."""
+    if isinstance(res, linprog.LpNumericalError):
+        raise res
+    if isinstance(res, linprog.Infeasible):
+        raise EmptyPolytopeError("extreme of an empty polytope")
+    if isinstance(res, linprog.Unbounded):
+        return -math.inf if sense == "min" else math.inf
+    return float(res.objective_value)
 
 
 def gaussian_quantile(q):
@@ -269,11 +279,11 @@ def is_empty_intersection(p1, p2):
     return isinstance(linprog.solve(_intersection_lp(p1, p2)), linprog.Infeasible)
 
 
-def empty_intersections(poly, others):
-    """:func:`is_empty_intersection` of ``poly`` with each of ``others``,
+def empty_intersections(pairs):
+    """:func:`is_empty_intersection` of each ``(p1, p2)`` in ``pairs``,
     from one :func:`relusafe.linprog.solve_many` batch: True, False, or
     None where that LP failed numerically."""
-    results = linprog.solve_many([_intersection_lp(poly, other) for other in others])
+    results = linprog.solve_many([_intersection_lp(p1, p2) for p1, p2 in pairs])
     return [None if isinstance(res, linprog.LpNumericalError)
             else isinstance(res, linprog.Infeasible) for res in results]
 

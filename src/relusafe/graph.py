@@ -18,12 +18,20 @@ bottom out anyway; filtered pairs keep an edge at the precision floor
 rather than being dropped, since unsatisfiability proves smallness, never
 impossibility.
 
-A source row is the unit of work (:func:`source_row`), and
-:func:`estimate_edges` is its one estimator: the row's prune LPs run as
-one :func:`relusafe.linprog.solve_many` batch and the slack LPs of its
-unpruned targets as another, with results bit-identical to solving each
-LP alone.  The targets' augmented sets at the grid floor are computed once
-per build (:class:`RowTargets`) and shared by every row.
+:func:`estimate_edges` is the one edge estimator.  It bounds the edges
+from a list of sources into a list of regions: the prune LPs of every
+(source, region) pair run as one :func:`relusafe.linprog.solve_many`
+batch and the slack LPs of every source's pieces against its unpruned
+regions as another, with results bit-identical to solving each LP alone.
+The build calls it once per source row (:func:`source_row`), so no batch
+is larger than one row's; refinement calls it once for the probes of a
+split and once for every unsplit row's edges into the two halves.  The
+targets' augmented sets at the grid floor are computed once per build
+(:class:`RowTargets`) and shared by every row.  A built graph keeps each
+source cell's :class:`CellReach`, its reach box and affine pieces, in
+memory (:meth:`TransitionGraph.cell_reach`), so refinement does not
+enumerate them again; the reach is not saved, and a loaded graph makes it
+on first use.
 
 Every cell also gets an edge to the absorbing unsafe sink, bounding the
 one-step probability of entering an obstacle or leaving the domain; the sink
@@ -142,6 +150,8 @@ class TransitionGraph:
     scenario_sha256: str = ""
     regions: dict = field(default_factory=dict)   # NodeId -> Polytope (cell nodes)
     sigma: np.ndarray | None = None
+    # NodeId -> CellReach of the source cells, in memory only (not saved).
+    reach: dict = field(default_factory=dict, repr=False, compare=False)
 
     def edge(self, source, target):
         for e in self.edges.get(source, []):
@@ -151,6 +161,16 @@ class TransitionGraph:
 
     def cell_nodes(self):
         return [v for v in self.nodes if v.kind == "cell"]
+
+    def cell_reach(self, scenario, node):
+        """The :class:`CellReach` of cell ``node`` of ``scenario``: the one
+        the build kept, or, for a loaded graph, one built with ``jobs > 1``
+        or a reach made for other objects, one made now and kept."""
+        cell = scenario.partition[node.cells[0]]
+        reach = self.reach.get(node)
+        if reach is None or not reach.serves(scenario, cell):
+            reach = self.reach[node] = CellReach(scenario, cell)
+        return reach
 
     def bind_scenario(self, scenario):
         """Attach regions and noise data from the owning scenario.
@@ -199,6 +219,13 @@ class CellReach:
     def pieces(self):
         return smc.affine_pieces(self.scenario, self.cell)
 
+    def serves(self, scenario, cell):
+        """True when this reach is the one of ``cell`` under the closed
+        loop of ``scenario``: the same cell, dynamics and controller
+        objects."""
+        return (self.cell is cell and self.scenario.dynamics is scenario.dynamics
+                and self.scenario.controller is scenario.controller)
+
 
 def floor_sets(regions, dq, sigma):
     """Each region's augmented set at the grid floor: the target side of
@@ -219,10 +246,11 @@ class RowTargets:
         self.floor_sets = floor_sets(self.regions, dq, scenario.dynamics.sigma)
 
 
-def _pruned(box, targets):
-    """Per target polytope, True when it misses ``box``; a prune LP that
-    fails numerically reads False, so its pair is bracketed instead."""
-    return [empty is True for empty in empty_intersections(box, targets)]
+def _pruned(pairs):
+    """Per ``(box, target)`` pair, True when the target misses the box; a
+    prune LP that fails numerically reads False, so its pair is bracketed
+    instead."""
+    return [empty is True for empty in empty_intersections(pairs)]
 
 
 def prune_test(scenario, cell_i, cell_j, dq):
@@ -234,8 +262,8 @@ def prune_test(scenario, cell_i, cell_j, dq):
     source state is below dq and the grid walk would have returned its
     minimum value.
     """
-    return _pruned(reach_box(scenario, cell_i),
-                   floor_sets([cell_j.region], dq, scenario.dynamics.sigma))[0]
+    return _pruned([(reach_box(scenario, cell_i),
+                     floor_sets([cell_j.region], dq, scenario.dynamics.sigma)[0])])[0]
 
 
 def _grid_bracket(reach, region, dq, z_star):
@@ -268,35 +296,39 @@ def _grid_bracket(reach, region, dq, z_star):
     return q_lo, q_hi
 
 
-def estimate_edges(scenario, cell, regions, dq, reach=None, floors=None):
-    """Bound the one-step probability from ``cell`` into each of ``regions``.
+def estimate_edges(scenario, reaches, regions, dq, floors=None):
+    """Bound the one-step probability from each source into each of ``regions``.
 
-    The one prune-or-bracket decision, one edge tail per region: a pair
+    ``reaches`` holds one :class:`CellReach` per source cell; the result
+    holds one list of edge tails per source, one tail per region.  A pair
     the reach box prunes reads ``(dq, 0.0, dq, "pruned")``, any other
     ``(max(q_hi, dq), q_lo, q_hi, "smc")`` from the threshold grid.  The
-    prune LPs of all regions run as one LP batch, then the slack LPs of
-    every affine piece against every unpruned region as another
-    (:func:`relusafe.smc.max_slack`), then each unpruned region's grid
-    walk.  ``reach`` is the cell's :class:`CellReach` and ``floors``
-    the regions' :func:`floor_sets`; each is computed when not given, and
-    passing them shares them across calls.
+    prune LPs of every pair run as one LP batch, then the slack LPs of
+    every source's affine pieces against its unpruned regions as another
+    (:func:`relusafe.smc.max_slacks`), then each unpruned pair's grid walk.
+    ``floors`` are the regions' :func:`floor_sets`, computed when not
+    given.
     """
-    if reach is None:
-        reach = CellReach(scenario, cell)
     sigma = scenario.dynamics.sigma
     if floors is None:
         floors = floor_sets(regions, dq, sigma)
-    pruned = _pruned(reach.box, floors)
-    open_regions = [region for region, cut in zip(regions, pruned) if not cut]
-    slacks = iter(smc.max_slack(reach.pieces, open_regions, sigma) if open_regions else ())
-    tails = []
-    for region, cut in zip(regions, pruned):
-        if cut:
-            tails.append((dq, 0.0, dq, "pruned"))
-            continue
-        q_lo, q_hi = _grid_bracket(reach, region, dq, next(slacks)[0])
-        tails.append((max(q_hi, dq), q_lo, q_hi, "smc"))
-    return tails
+    cuts = iter(_pruned([(reach.box, floor) for reach in reaches for floor in floors]))
+    pruned = [[next(cuts) for _ in regions] for _ in reaches]
+    open_regions = [[region for region, cut in zip(regions, row) if not cut] for row in pruned]
+    # Pieces only for the sources with an unpruned region.
+    asked = [(reach.pieces, targets) for reach, targets in zip(reaches, open_regions) if targets]
+    slacks = iter([z for found in smc.max_slacks(asked, sigma) for z in found])
+    out = []
+    for reach, row in zip(reaches, pruned):
+        tails = []
+        for region, cut in zip(regions, row):
+            if cut:
+                tails.append((dq, 0.0, dq, "pruned"))
+                continue
+            q_lo, q_hi = _grid_bracket(reach, region, dq, next(slacks)[0])
+            tails.append((max(q_hi, dq), q_lo, q_hi, "smc"))
+        out.append(tails)
+    return out
 
 
 def estimate_bound(scenario, cell_i, cell_j, dq):
@@ -318,7 +350,7 @@ def unsafe_pieces(workspace):
     return list(workspace.lifted_obstacles()) + outside_facets(workspace.domain, 0.0)
 
 
-def _sink_edge(pieces, tails):
+def sink_from_tails(pieces, tails):
     """The sink edge from each unsafe piece's edge tail: the records
     ``(piece, bound, q_lo, q_hi, method)`` and their bound sum, capped at
     one."""
@@ -332,25 +364,28 @@ def sink_edge(scenario, cell, dq, reach=None):
 
     Each unsafe piece gets its own edge tail from :func:`estimate_edges`,
     recorded as ``(piece, bound, q_lo, q_hi, method)``; the edge bound is
-    their sum, capped at one.
+    their sum, capped at one.  ``reach`` is the cell's :class:`CellReach`,
+    made when not given.
     """
     pieces = unsafe_pieces(scenario.workspace)
-    return _sink_edge(pieces, estimate_edges(scenario, cell, pieces, dq, reach))
+    reach = CellReach(scenario, cell) if reach is None else reach
+    return sink_from_tails(pieces, estimate_edges(scenario, [reach], pieces, dq)[0])
 
 
-def source_row(scenario, cell, dq, targets=None):
+def source_row(scenario, cell, dq, targets=None, reach=None):
     """All outgoing edges of one source cell: every partition cell in index
     order, then the sink.  One :func:`estimate_edges` call covers the
     partition and the unsafe pieces, so the row's prune LPs run as one
     batch and its slack LPs as another.  ``targets`` is the build's
-    :class:`RowTargets`, made when not given."""
+    :class:`RowTargets` and ``reach`` the cell's :class:`CellReach`; each
+    is made when not given."""
     if targets is None:
         targets = RowTargets(scenario, dq)
-    tails = estimate_edges(scenario, cell, targets.regions, dq,
-                           floors=targets.floor_sets)
+    reach = CellReach(scenario, cell) if reach is None else reach
+    tails = estimate_edges(scenario, [reach], targets.regions, dq, floors=targets.floor_sets)[0]
     n = targets.num_cells
     row = [Edge(cell_node(j), *tail) for j, tail in enumerate(tails[:n])]
-    row.append(_sink_edge(targets.pieces, tails[n:]))
+    row.append(sink_from_tails(targets.pieces, tails[n:]))
     return row
 
 
@@ -360,22 +395,28 @@ def build_graph(scenario, dq, jobs=1):
     Pair estimation is independent per source cell; with ``jobs > 1`` the
     source rows fan out to worker processes and come back in cell order.
     The rows' :class:`RowTargets` are made once and shared by every row.
-    Any worker failure aborts the build; partial graphs are never returned.
+    With one job the graph keeps each source cell's :class:`CellReach`
+    (see :meth:`TransitionGraph.cell_reach`).  Any worker failure aborts
+    the build; partial graphs are never returned.
     """
     n = scenario.num_cells
-    args = ([scenario] * n, scenario.partition, [dq] * n, [RowTargets(scenario, dq)] * n)
+    targets = RowTargets(scenario, dq)
+    args = ([scenario] * n, scenario.partition, [dq] * n, [targets] * n)
+    reaches = {}
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(source_row, *args))
     else:
-        rows = list(map(source_row, *args))
+        reaches = {cell_node(i): CellReach(scenario, cell)
+                   for i, cell in enumerate(scenario.partition)}
+        rows = list(map(source_row, *args, reaches.values()))
 
     nodes = [cell_node(i) for i in range(n)] + [UNSAFE]
     edges = {cell_node(i): row for i, row in enumerate(rows)}
     edges[UNSAFE] = [Edge(UNSAFE, 1.0, q_lo=1.0, q_hi=1.0, method="fixed")]
     graph = TransitionGraph(
         nodes=nodes, edges=edges, dq=dq,
-        q_threshold_floor=bisection_floor(dq),
+        q_threshold_floor=bisection_floor(dq), reach=reaches,
     )
     for node, row in graph.edges.items():
         for e in row:

@@ -28,13 +28,19 @@ padded to the batch's largest variable, row and artificial counts, and each
 padded row reads ``0 <= 1`` with a basic slack.  Padded columns stay zero
 and never enter, padded rows never leave, and the masked in-place update
 touches exactly the entries the lone kernel touches, with the same floating
-point operations in the same order.  So the rule is bit-identity: every
-member's point, objective value and certificate is the one :func:`solve`
-returns, and a member that fails numerically gets the error :func:`solve`
-would raise.  The batch pays numpy's per-call overhead once per lockstep
-pivot instead of once per LP pivot, which is where the time goes on the
-package's LPs (a handful of rows and variables each).  For one or two LPs
-the padded kernel costs more than it saves, so a batch that small goes to
+point operations in the same order.  The batch's set-up and results are
+array operations too: its canonical rows, row norms and scaling are
+computed for all members at once (each norm over its own LP's columns,
+since numpy sums 8 or more entries pairwise), and the Farkas weights,
+their audit (an in-order cumulative sum, the additions of the lone audit)
+and the feasibility violations are read off the batch's arrays.  So the
+rule is bit-identity: every member's point, objective value and
+certificate is the one :func:`solve` returns, and a member that fails
+numerically gets the error :func:`solve` would raise.  The batch pays
+numpy's per-call overhead once per lockstep pivot and once per batch
+instead of once per LP, which is where the time goes on the package's LPs
+(a handful of rows and variables each).  For one or two LPs the padded
+kernel costs more than it saves, so a batch that small goes to
 :func:`solve`, which stays the kernel for every LP that comes alone.
 """
 
@@ -52,9 +58,10 @@ EPS_FEAS = 1e-7
 EPS_PIVOT = 1e-9
 # Tolerance for the Farkas combination check (|y^T A| per coordinate).
 EPS_CERT = 1e-6
-# Smallest batch :func:`solve_many` runs in lockstep.  On the graph build's
-# prune and slack LPs (2-core machine) the lockstep kernel takes about 2x the
-# time of solve per LP at one LP, 1.4x at two, 1x at three and 0.7x at six.
+# Smallest batch :func:`solve_many` runs in lockstep.  On prune LPs and on
+# support LPs (2-core machine) the lockstep kernel takes 1.3-1.7x the time
+# of solve per LP at two LPs, 0.9-1.2x at three, 0.7-1x at four and 0.5-0.7x
+# at six.
 LOCKSTEP_MIN = 3
 
 
@@ -169,26 +176,32 @@ def check_certificate(lp, certificate, tol=EPS_CERT):
     per coordinate) and sum of y_i * b_i is strictly negative.
     """
     row_of = {lp.label(i): i for i in range(len(lp.rhs))}
-    terms = []
+    index, side = [], []
     for entry in certificate:
         i = row_of.get(entry.label)
         if i is None or entry.side not in (1, -1) or (entry.side < 0 and not lp.eq[i]):
             return False
-        a, b = lp.rows[i], lp.rhs[i]
-        terms.append((entry.weight, a, b) if entry.side > 0 else (entry.weight, -a, -b))
-    return _farkas_holds(terms, lp.num_vars, tol)
+        index.append(i)
+        side.append(float(entry.side))
+    side = np.array(side)
+    weights = np.array([[entry.weight for entry in certificate]])
+    rows = lp.rows[index] * side[:, None]
+    return bool(_farkas_holds(weights, rows[None], (lp.rhs[index] * side)[None], tol)[0])
 
 
-def _farkas_holds(terms, num_vars, tol):
-    """Farkas conditions on ``(weight, a, b)`` terms, accumulated in order."""
-    combo = np.zeros(num_vars)
-    rhs = 0.0
-    for weight, a, b in terms:
-        if weight < 0:
-            return False
-        combo += weight * a
-        rhs += weight * b
-    return bool(np.max(np.abs(combo)) <= tol and rhs < 0)
+def _farkas_holds(weights, A, b, tol):
+    """Farkas conditions per member of a stack: the multipliers
+    ``weights[k]`` (K of them) on the rows ``A[k] . x <= b[k]`` are
+    nonnegative and combine to ``|sum y_i a_i| <= tol`` per coordinate and
+    ``sum y_i b_i < 0``.  The sums accumulate in row order, one term after
+    another; a zero multiplier adds a signed zero, which changes no sum
+    but a zero's sign."""
+    B, K = weights.shape
+    if K == 0:
+        return np.zeros(B, dtype=bool)
+    combo = np.cumsum(weights[..., None] * A, axis=1)[:, -1]
+    rhs = np.cumsum(weights * b, axis=1)[:, -1]
+    return np.all(weights >= 0.0, axis=1) & (np.max(np.abs(combo), axis=1) <= tol) & (rhs < 0.0)
 
 
 class _Rows(NamedTuple):
@@ -224,12 +237,13 @@ def _infeasible(lp, rows, duals):
     rows; ``rows`` are the LP's :class:`_Rows`."""
     y = np.maximum(duals, 0.0) / rows.scale
     support = np.nonzero(y > 1e-14)[0]
-    cert = tuple(CertEntry(lp.label(int(rows.index[i])), int(rows.side[i]), float(y[i]))
-                 for i in support)
-    terms = [(e.weight, rows.A0[i], rows.b0[i]) for e, i in zip(cert, support)]
-    if not _farkas_holds(terms, lp.num_vars, EPS_CERT):
+    weights = y[support]
+    if not _farkas_holds(weights[None], rows.A0[support][None], rows.b0[support][None],
+                         EPS_CERT)[0]:
         raise LpNumericalError("infeasibility certificate failed its own audit")
-    return Infeasible(cert)
+    return Infeasible(tuple(CertEntry(lp.label(i), side, weight) for i, side, weight in
+                            zip(rows.index[support].tolist(), rows.side[support].tolist(),
+                                weights.tolist())))
 
 
 def _feasible(rows, point, objective_value):
@@ -387,16 +401,14 @@ def solve_many(lps):
     if len(lps) < LOCKSTEP_MIN:
         return [_solve_or_error(lp) for lp in lps]
     out = [None] * len(lps)
-    members, rows = [], []
+    members = []
     for k, lp in enumerate(lps):
-        normalized = _normalized(lp)
-        if len(normalized.b):
+        if len(lp.rhs):
             members.append(k)
-            rows.append(normalized)
         else:
             out[k] = _without_rows(lp)
     if members:
-        for k, res in zip(members, _solve_lockstep([lps[k] for k in members], rows)):
+        for k, res in zip(members, _solve_lockstep([lps[k] for k in members])):
             out[k] = res
     return out
 
@@ -408,19 +420,85 @@ def _solve_or_error(lp):
         return exc
 
 
-def _solve_lockstep(lps, rows):
-    """The lockstep kernel of :func:`solve_many` on LPs with rows, given
-    their :class:`_Rows`; the phases and every floating-point operation
-    follow :func:`solve`."""
+class _Stack(NamedTuple):
+    """A batch's canonical rows as padded arrays (see :class:`_Rows`).
+
+    Member ``k`` has ``n[k]`` variables and ``m[k]`` canonical rows, which
+    fill ``A0[k, :m[k], :n[k]]`` and ``b0[k, :m[k]]``; ``index`` and
+    ``side`` say which given row each canonical row came from.  Padded
+    entries of ``A0`` are zero and padded rows read ``0 <= 1`` with scale
+    one, so their scaled rows are the lockstep kernel's padding.
+    """
+
+    n: np.ndarray
+    m: np.ndarray
+    A0: np.ndarray
+    b0: np.ndarray
+    index: np.ndarray
+    side: np.ndarray
+    scale: np.ndarray
+    A: np.ndarray
+    b: np.ndarray
+
+
+def _stack(lps):
+    """The :class:`_Stack` of ``lps``, each of which has rows.
+
+    The canonical expansion and the scaling are the operations of
+    :func:`_normalized`, on every member at once.  Each row norm is taken
+    over its own LP's columns only: numpy sums a row of 8 or more entries
+    pairwise, so a norm over zero-padded columns could round differently.
+    """
     B = len(lps)
     n = np.array([lp.num_vars for lp in lps])
-    m = np.array([len(r.b) for r in rows])
+    given = np.array([len(lp.rhs) for lp in lps])
+    first_given = np.cumsum(given) - given
+    eq = np.concatenate([lp.eq for lp in lps])
+    rhs = np.concatenate([lp.rhs for lp in lps])
+    # Per canonical row: the given row it copies (numbered across the
+    # batch), its side, its member and its place in the member.
+    src = np.repeat(np.arange(len(eq)), np.where(eq, 2, 1))
+    side = np.ones(len(src))
+    side[1:][src[1:] == src[:-1]] = -1.0
+    owner = np.repeat(np.arange(B), given)[src]
+    m = np.bincount(owner, minlength=B)
+    rhs = rhs[src] * side
+    pos = np.arange(len(src)) - (np.cumsum(m) - m)[owner]
+
     N, M = int(n.max()), int(m.max())
-    A = np.zeros((B, M, N))
-    b = np.ones((B, M))                      # padded rows: 0 <= 1
-    for k, r in enumerate(rows):
-        A[k, :m[k], :n[k]] = r.A
-        b[k, :m[k]] = r.b
+    index = np.zeros((B, M), dtype=int)
+    index[owner, pos] = src - first_given[owner]
+    signs = np.ones((B, M), dtype=int)
+    b0 = np.ones((B, M))
+    b0[owner, pos] = rhs
+    A0 = np.zeros((B, M, N))
+    scale = np.ones((B, M))
+    # The members of one variable count at a time, so that each row norm
+    # sums that many entries.
+    for width in set(n.tolist()):
+        group = np.nonzero(n == width)[0]
+        here = n[owner] == width
+        rows = np.concatenate([lps[k].rows for k in group])
+        # Per member of the group, its first row's place in ``rows`` less
+        # its first row's number across the batch.
+        shift = np.zeros(B, dtype=int)
+        shift[group] = np.cumsum(given[group]) - given[group] - first_given[group]
+        block = rows[src[here] + shift[owner[here]]]
+        block *= side[here, None]
+        A0[owner[here], pos[here], :width] = block
+        scale[group] = np.linalg.norm(A0[group, :, :width], axis=-1)
+    signs[owner, pos] = side
+    scale[scale < 1e-300] = 1.0
+    return _Stack(n, m, A0, b0, index, signs, scale, A0 / scale[..., None], b0 / scale)
+
+
+def _solve_lockstep(lps):
+    """The lockstep kernel of :func:`solve_many` on LPs with rows; the
+    phases and every floating-point operation follow :func:`solve`."""
+    B = len(lps)
+    rows = _stack(lps)
+    n, m, A, b = rows.n, rows.m, rows.A, rows.b
+    M, N = A.shape[1:]
 
     # Columns: [xp (N) | xm (N) | s (M) | t (K)], then the right-hand side.
     sigma = np.where(b >= 0.0, 1.0, -1.0)
@@ -435,7 +513,7 @@ def _solve_lockstep(lps, rows):
     T[:, :M, 0:N] = DA
     T[:, :M, N:x_end] = -DA
     T[:, np.arange(M), x_end + np.arange(M)] = sigma
-    basis = np.tile(x_end + np.arange(M), (B, 1))
+    basis = np.zeros((B, 1), dtype=int) + (x_end + np.arange(M))
     bi, ri = np.nonzero(art)
     art_cols = art_start + (np.cumsum(art, axis=1) - 1)[bi, ri]
     T[bi, ri, art_cols] = 1.0
@@ -462,17 +540,19 @@ def _solve_lockstep(lps, rows):
                     np.full(B, i), usable.argmax(axis=1))
 
     # Phase 2 on the members with an objective.
-    optimize = feasible & np.array([lp.objective is not None for lp in lps])
+    goal = [lp.objective for lp in lps]
+    optimize = feasible & np.array([g is not None for g in goal])
     unbounded = np.zeros(B, dtype=bool)
     if optimize.any():
         cost = np.zeros((B, C + 1))
-        for k in np.nonzero(optimize)[0]:
-            direction, c = lps[k].objective
-            c_sim = c if direction == "min" else -c
-            cost[k, 0:n[k]] = c_sim
-            cost[k, N:N + n[k]] = -c_sim
+        for width in sorted(set(n[optimize].tolist())):
+            group = np.nonzero(optimize & (n == width))[0]
+            c_sim = np.array([goal[k][1] if goal[k][0] == "min" else -goal[k][1]
+                              for k in group])
+            cost[group, 0:width] = c_sim
+            cost[group, N:N + width] = -c_sim
         T[optimize, M] = cost[optimize]
-        basic_cost = np.take_along_axis(cost, basis, axis=1)
+        basic_cost = cost[np.arange(B)[:, None], basis]
         priced = optimize[:, None] & (basic_cost != 0.0)
         for i in np.nonzero(priced.any(axis=0))[0]:
             np.subtract(T[:, M], basic_cost[:, i, None] * T[:, i], out=T[:, M],
@@ -488,25 +568,43 @@ def _solve_lockstep(lps, rows):
     # built, so that it leaves no gap under them in the heap.
     cost_rows = T[:, M].copy()
     del T, work
+    return _results(lps, rows, failed, infeasible, unbounded, points, cost_rows)
 
+
+def _results(lps, rows, failed, infeasible, unbounded, points, cost_rows):
+    """Each member's result, read off the batch's arrays as :func:`solve`
+    reads its own: the Farkas weights ``max(dual, 0) / scale`` and their
+    audit, or the point and its row violation."""
+    B, M, N = rows.A.shape
+    real = np.arange(M) < rows.m[:, None]
+    certificates = {}
+    if infeasible.any():
+        y = np.maximum(cost_rows[:, 2 * N:2 * N + M], 0.0) / rows.scale
+        support = infeasible[:, None] & real & (y > 1e-14)
+        audited = _farkas_holds(np.where(support, y, 0.0), rows.A0, rows.b0, EPS_CERT)
+        ks, rs = np.nonzero(support)
+        for k, i, side, weight in zip(ks.tolist(), rows.index[ks, rs].tolist(),
+                                      rows.side[ks, rs].tolist(), y[ks, rs].tolist()):
+            certificates.setdefault(k, []).append(CertEntry(lps[k].label(i), side, weight))
+    violation = np.max(np.where(real, (rows.A @ points[..., None])[..., 0] - rows.b, -np.inf),
+                       axis=1)
+    values = (-cost_rows[:, -1]).tolist()
     out = []
     for k, lp in enumerate(lps):
-        try:
-            if failed[k]:
-                raise LpNumericalError("simplex iteration guard exceeded (possible cycling)")
-            if infeasible[k]:
-                out.append(_infeasible(lp, rows[k], cost_rows[k, x_end:x_end + m[k]]))
-                continue
-            if unbounded[k]:
-                out.append(Unbounded(lp.objective[0]))
-                continue
+        if failed[k]:
+            out.append(LpNumericalError("simplex iteration guard exceeded (possible cycling)"))
+        elif infeasible[k]:
+            out.append(Infeasible(tuple(certificates.get(k, ()))) if audited[k] else
+                       LpNumericalError("infeasibility certificate failed its own audit"))
+        elif unbounded[k]:
+            out.append(Unbounded(lp.objective[0]))
+        elif violation[k] > EPS_FEAS:
+            out.append(LpNumericalError(f"feasible point violates a row by {violation[k]:.3e}"))
+        else:
             objective_value = None
             if lp.objective is not None:
-                value = -cost_rows[k, -1]
-                objective_value = float(value if lp.objective[0] == "min" else -value)
-            out.append(_feasible(rows[k], points[k, :n[k]].copy(), objective_value))
-        except LpNumericalError as exc:
-            out.append(exc)
+                objective_value = values[k] if lp.objective[0] == "min" else -values[k]
+            out.append(Feasible(points[k, :rows.n[k]].copy(), objective_value))
     return out
 
 

@@ -23,15 +23,19 @@ A batch runs state-major: each step's states are an (n, N) array, so the
 dynamics, the measurement map and the network are matrix products from
 the left, and each step is written in place into its slot of the states.
 While every trajectory lies in some cell, as nearly all do at nearly every
-step, a step gathers and scatters nothing.  Each step's cells and unsafe
-flags come from :meth:`~relusafe.scenario.Scenario.classify_many`: for a
-scenario of boxes, one ``searchsorted`` per axis on the contiguous rows of
-the states and two gathers from one table over the per-axis ranks.
-Callers still see (N, ...) arrays.
+step, a step gathers and scatters nothing and writes the measurement, the
+hidden layers, the control and the noise into buffers that the thread's
+rollouts share.  Each step's cells and unsafe flags come from
+:meth:`~relusafe.scenario.Scenario.classify_many`: for a scenario of boxes,
+one ``searchsorted`` per axis on the contiguous rows of the states and two
+gathers from one table over the per-axis ranks.
+Callers still see (N, ...) arrays.  The Monte-Carlo estimates read only
+the first unsafe step, so their rollouts keep two state slots, not k+1.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +44,10 @@ from .geometry import GeometryError, chebyshev_center
 from .scenario import closed_loop_mean_step, nn_forward_batch
 
 _MASK64 = (1 << 64) - 1
+# Per thread, the step buffers of the last rollout (see simulate_batch).
+# A step writes every buffer before it reads it, so no result depends on
+# what an earlier rollout left in them.
+_STEP_BUFFERS = threading.local()
 # Most points one rejection round of the sampler draws at once.
 _MAX_ROUND = 1 << 16
 
@@ -87,7 +95,17 @@ def _starts(scenario, x0s):
     return x0s
 
 
-def simulate_batch(scenario, x0s, k, seed, base_index=1):
+def _step_buffers(shapes):
+    """Arrays of ``shapes`` for the steps of a rollout: the ones this
+    thread's last rollout used when their shapes match, else new ones,
+    kept for the next rollout."""
+    buffers = getattr(_STEP_BUFFERS, "arrays", None)
+    if buffers is None or [a.shape for a in buffers] != shapes:
+        buffers = _STEP_BUFFERS.arrays = [np.empty(shape) for shape in shapes]
+    return buffers
+
+
+def simulate_batch(scenario, x0s, k, seed, base_index=1, history=True):
     """Roll out many trajectories at once; returns (states, first_hit).
 
     ``x0s`` is (N, n).  ``states`` is (N, k+1, n), a transposed view of the
@@ -99,7 +117,16 @@ def simulate_batch(scenario, x0s, k, seed, base_index=1):
     row, which reads the same numbers as the whole block, and scales it
     straight into state-major layout, so one row is held at a time.
     Trajectory ``i`` of a batch of more than one is not :func:`simulate`
-    with ``index=i``.
+    with ``index=i``.  With ``history=False`` only the last two states are
+    kept, in two slots that the steps alternate, and ``states`` is (N, 2,
+    n); ``first_hit`` is the same.
+
+    While every trajectory is live, a step writes into buffers that the
+    next rollout of the same shape on this thread reuses, and allocates
+    nothing large.  A rollout that freed them would leave it to the heap's
+    state whether they are trimmed and faulted back in by the next one,
+    which made the same falsifier 5% slower or faster depending on what
+    ran before it.
     """
     if k < 0:
         raise MonteCarloError(f"horizon {k} is negative")
@@ -109,32 +136,44 @@ def simulate_batch(scenario, x0s, k, seed, base_index=1):
     rng = stream(seed, base_index)
     sigma = dyn.sigma[:, None]
     Cs, cs, shared = scenario.measurement_maps
+    net = scenario.controller
+    width = max(net.hidden_widths, default=1)
+    d, h0, h1, u, bu, z, noise = _step_buffers(
+        [(Cs.shape[1], N), (width * N,), (width * N,), (dyn.m, N), (n, N), (N, n), (n, N)])
+    hidden = (h0, h1)
 
-    states = np.empty((k + 1, n, N))
+    states = np.empty((k + 1 if history else 2, n, N))
     states[0] = x0s.T
     cell_idx, unsafe = scenario.classify_many(x0s)
     first_hit = np.where(unsafe, 0, k + 1)
     for t in range(k):
-        x, x_next = states[t], states[t + 1]
+        x, x_next = (states[t], states[t + 1]) if history else (states[t % 2], states[1 - t % 2])
         live = cell_idx >= 0
         every = live.all()
-        # Nearly every step has every trajectory live: then gather and scatter nothing.
-        x_live = x if every else x[:, live]
-        if shared:
-            # One measurement map for every cell (as in generated scenarios).
-            d = Cs[0] @ x_live + cs[0][:, None]
+        if every and shared:
+            # Nearly every step: every trajectory is live and every cell
+            # has the same measurement map (as in generated scenarios).
+            np.matmul(Cs[0], x, out=d)
+            d += cs[0][:, None]
+            nn_forward_batch(net, d.T, out=u, hidden=hidden)
+            np.matmul(dyn.A, x, out=x_next)
+            np.matmul(dyn.B, u, out=bu)
+            x_next += bu
         else:
-            c = cell_idx if every else cell_idx[live]
-            d = np.einsum("ipn,ni->pi", Cs[c], x_live) + cs[c].T
-        u = nn_forward_batch(scenario.controller, d.T).T
-        if not every:
+            x_live = x[:, live]
+            if shared:
+                d_live = Cs[0] @ x_live + cs[0][:, None]
+            else:
+                c = cell_idx[live]
+                d_live = np.einsum("ipn,ni->pi", Cs[c], x_live) + cs[c].T
             u_all = np.zeros((dyn.m, N))
-            u_all[:, live] = u
-            u = u_all
-        np.matmul(dyn.A, x, out=x_next)
-        x_next += dyn.B @ u
+            u_all[:, live] = nn_forward_batch(net, d_live.T, hidden=hidden).T
+            np.matmul(dyn.A, x, out=x_next)
+            x_next += dyn.B @ u_all
         # Row t of the (k, N, n) draw, scaled state-major: the products of z * sigma.
-        x_next += np.multiply(rng.normal(size=(N, n)).T, sigma, order="C")
+        rng.standard_normal(out=z)
+        np.multiply(z.T, sigma, out=noise)
+        x_next += noise
         if not every:
             x_next[:, ~live] = x[:, ~live]  # no measurement map: hold position
         cell_idx, unsafe = scenario.classify_many(x_next.T)
@@ -217,7 +256,7 @@ def estimate_true_pk_curve(scenario, cell, k, n, seed):
             raise MonteCarloError(f"cell index {cell} out of range 0..{scenario.num_cells - 1}")
         cell = scenario.partition[int(cell)]
     starts = sample_in_polytope(cell.region, n, stream(seed, 0))
-    _, first_hit = simulate_batch(scenario, starts, k, seed, base_index=1)
+    _, first_hit = simulate_batch(scenario, starts, k, seed, base_index=1, history=False)
     within = np.cumsum(np.bincount(first_hit, minlength=k + 2)[:k + 1])
     return [_estimate(cell.id, j, n, within[j]) for j in range(k + 1)]
 

@@ -20,7 +20,7 @@ import numpy as np
 from .geometry import (DegenerateSplitError, Hyperplane, chebyshev_center,
                        gaussian_quantile, split)
 from .graph import (UNSAFE, CellReach, Edge, RowTargets, TransitionGraph, cell_node,
-                    estimate_edges, sink_edge, source_row)
+                    estimate_edges, sink_from_tails, source_row, unsafe_pieces)
 from .scenario import PartitionCell, Scenario
 from .smc import max_slack, slack_tolerance
 
@@ -85,11 +85,13 @@ def find_witness(scenario, graph, source, target):
     source cell's affine pieces (:func:`relusafe.smc.max_slack`); the slack
     against the augmented set at any threshold differs by a constant, so
     the same state is the deepest there.  For sink edges the dominant
-    unsafe piece is used.  Raises :class:`StaleGraphError` when ``z*``
-    falls short of the edge's last satisfiable threshold (the graph
-    predates a scenario change), and :class:`RefinementError` for edges at
-    the precision floor, which never had a satisfiable threshold, for sink
-    edges without piece records, or when the slack LP fails numerically.
+    unsafe piece is used.  The pieces are the ones the graph keeps for
+    ``source`` (:meth:`relusafe.graph.TransitionGraph.cell_reach`).
+    Raises :class:`StaleGraphError` when ``z*`` falls short of the edge's
+    last satisfiable threshold (the graph predates a scenario change), and
+    :class:`RefinementError` for edges at the precision floor, which never
+    had a satisfiable threshold, for sink edges without piece records, or
+    when the slack LP fails numerically.
     """
     edge = graph.edge(source, target)
     if edge is None:
@@ -99,9 +101,9 @@ def find_witness(scenario, graph, source, target):
         raise RefinementError(f"edge {source} -> {target} sits at the precision floor")
     if region is None:
         region = scenario.partition[target.cells[0]].region
-    cell = scenario.partition[source.cells[0]]
     sigma = scenario.dynamics.sigma
-    z_star, x, x_next = max_slack(CellReach(scenario, cell).pieces, [region], sigma)[0]
+    reach = graph.cell_reach(scenario, source)
+    z_star, x, x_next = max_slack(reach.pieces, [region], sigma)[0]
     if z_star == np.inf:
         raise RefinementError(f"edge {source} -> {target}: slack LP failed numerically")
     if z_star < gaussian_quantile(q) - slack_tolerance(region, sigma):
@@ -166,77 +168,92 @@ def refine_cell(scenario, graph, bounds, source, target, steps=4):
     far = lo if downward else hi
     margin = 1e-6 * max(1.0, hi - lo)
 
-    target_region = None
-    if target != UNSAFE:
-        target_region = scenario.partition[target.cells[0]].region
-
-    best = None
+    # One half per translation that cuts the cell: the half away from the
+    # witness is a probe, and the edges of all probes are estimated at once.
+    splits, probes = [], []
     for t in range(steps):
         offset = c0 + (far - c0) * (t / steps)
         if offset - lo <= margin or hi - offset <= margin:
             continue
-        plane = Hyperplane(normal=hp.normal, offset=offset)
         try:
-            lower, upper = split(region, plane)
+            lower, upper = split(region, Hyperplane(normal=hp.normal, offset=offset))
         except DegenerateSplitError:
             continue
-        away = lower if downward else upper
-        probe = PartitionCell(id=f"{cell.id}b", region=away, C=cell.C, c=cell.c)
-        if target == UNSAFE:
-            value = sink_edge(scenario, probe, graph.dq).bound
-        else:
-            value = estimate_edges(scenario, probe, [target_region], graph.dq)[0][0]
-        plan.translations.append((float(offset), float(value)))
-        if best is None or value < best[0]:
-            best = (value, offset)
-    if best is None:
+        near, away = (upper, lower) if downward else (lower, upper)
+        splits.append((offset, near))
+        probes.append(CellReach(scenario, PartitionCell(id=f"{cell.id}b", region=away,
+                                                        C=cell.C, c=cell.c)))
+    if not probes:
         plan.note = "all translations degenerate; partition unchanged"
         return RefinementResult(scenario=scenario, graph=graph, plan=plan,
                                 cell_map=tuple((i,) for i in range(scenario.num_cells)))
+    if target == UNSAFE:
+        pieces = unsafe_pieces(scenario.workspace)
+        values = [sink_from_tails(pieces, tails).bound
+                  for tails in estimate_edges(scenario, probes, pieces, graph.dq)]
+    else:
+        regions = [scenario.partition[target.cells[0]].region]
+        values = [tails[0][0] for tails in estimate_edges(scenario, probes, regions, graph.dq)]
+    plan.translations = [(float(offset), float(value))
+                         for (offset, _), value in zip(splits, values)]
+    best = min(range(len(probes)), key=values.__getitem__)  # the first of equal values
 
-    plan.chosen_offset = float(best[1])
-    lower, upper = split(region, Hyperplane(normal=hp.normal, offset=best[1]))
-    near, away = (upper, lower) if downward else (lower, upper)
-    cell_near = PartitionCell(id=f"{cell.id}a", region=near, C=cell.C, c=cell.c)
-    cell_away = PartitionCell(id=f"{cell.id}b", region=away, C=cell.C, c=cell.c)
-
-    new_cells = (scenario.partition[:idx] + (cell_near, cell_away)
+    plan.chosen_offset = float(splits[best][0])
+    cell_near = PartitionCell(id=f"{cell.id}a", region=splits[best][1], C=cell.C, c=cell.c)
+    away = probes[best]
+    new_cells = (scenario.partition[:idx] + (cell_near, away.cell)
                  + scenario.partition[idx + 1:])
     new_scenario = Scenario(dynamics=scenario.dynamics, controller=scenario.controller,
                             workspace=scenario.workspace, partition=new_cells)
     cell_map = tuple((i,) if i < idx else (i, i + 1) if i == idx else (i + 1,)
                      for i in range(scenario.num_cells))
-    new_graph = _rebuild_graph(new_scenario, graph, cell_map)
+    reach = {cell_node(new): graph.cell_reach(scenario, cell_node(old))
+             for old, news in enumerate(cell_map) if len(news) == 1 for new in news}
+    reach[cell_node(idx + 1)] = away
+    new_graph = _rebuild_graph(new_scenario, graph, cell_map, reach)
     plan.committed = True
     return RefinementResult(scenario=new_scenario, graph=new_graph, plan=plan,
                             cell_map=cell_map)
 
 
-def _rebuild_graph(new_scenario, graph, cell_map):
+def _rebuild_graph(new_scenario, graph, cell_map, reach):
     """The graph ``build_graph`` would give on the refined scenario.
 
-    Rows of the two halves are estimated afresh, and so is every other
-    row's edge into a half, with one :func:`estimate_edges` call per row;
-    all other edges are copied from the old graph through ``cell_map``.
+    ``reach`` holds the :class:`~relusafe.graph.CellReach` of every new
+    cell it knows, the ones the old graph kept for the unsplit cells and
+    the probe's for the half away from the witness; the new graph keeps
+    them, and the other half's.  Rows of the two halves are estimated
+    afresh, one :func:`~relusafe.graph.estimate_edges` call each, and
+    every unsplit row's edges into the halves come from one call for all
+    of those rows, so their prune LPs run as one batch and their slack LPs
+    as another; all other edges are copied from the old graph through
+    ``cell_map``.
     """
     dq = graph.dq
     halves = next(new for new in cell_map if len(new) == 2)
     old_index = {new: old for old, news in enumerate(cell_map) for new in news}
     targets = RowTargets(new_scenario, dq)
-    half_regions = [targets.regions[j] for j in halves]
-    half_floors = [targets.floor_sets[j] for j in halves]
+    reach = dict(reach)
+    for j in halves:
+        node = cell_node(j)
+        if node not in reach:
+            reach[node] = CellReach(new_scenario, new_scenario.partition[j])
+    unsplit = [i for i in range(new_scenario.num_cells) if i not in halves]
+    into_halves = dict(zip(unsplit, estimate_edges(
+        new_scenario, [reach[cell_node(i)] for i in unsplit],
+        [targets.regions[j] for j in halves], dq,
+        floors=[targets.floor_sets[j] for j in halves])))
     edges = {}
     for i, cell in enumerate(new_scenario.partition):
         if i in halves:
-            edges[cell_node(i)] = source_row(new_scenario, cell, dq, targets)
+            edges[cell_node(i)] = source_row(new_scenario, cell, dq, targets, reach[cell_node(i)])
             continue
         old_row = {e.target: e for e in graph.edges[cell_node(old_index[i])]}
-        into_halves = dict(zip(halves, estimate_edges(new_scenario, cell, half_regions, dq,
-                                                      floors=half_floors)))
+        new_tails = dict(zip(halves, into_halves[i]))
         row = []
         for j in range(new_scenario.num_cells):
             if j in halves:
-                row.append(Edge(cell_node(j), *into_halves[j]))
+                row.append(Edge(cell_node(j), *new_tails[j]))
             else:
                 row.append(replace(old_row[cell_node(old_index[j])], target=cell_node(j)))
         row.append(old_row[UNSAFE])
@@ -244,7 +261,7 @@ def _rebuild_graph(new_scenario, graph, cell_map):
     edges[UNSAFE] = list(graph.edges[UNSAFE])
 
     out = TransitionGraph(nodes=list(edges), edges=edges, dq=dq,
-                          q_threshold_floor=graph.q_threshold_floor)
+                          q_threshold_floor=graph.q_threshold_floor, reach=reach)
     return out.bind_scenario(new_scenario)
 
 

@@ -151,23 +151,29 @@ def nn_forward(net, d):
     return u, t > 0.0
 
 
-def nn_forward_batch(net, D):
+def nn_forward_batch(net, D, out=None, hidden=None):
     """Vectorized forward pass for an (N, input_dim) batch; returns (N, m).
 
     Runs feature-major, ``W @ H + w`` on ``H = D.T``, and returns the
     transpose of the (m, N) output, a view.  ``D`` may be C-ordered or a
-    transposed view of an (input_dim, N) array.
+    transposed view of an (input_dim, N) array.  Optional buffers take the
+    results in place: ``out``, an (m, N) array, the output, and
+    ``hidden``, two flat arrays of at least ``width * N`` entries for the
+    widest layer, the hidden layers in turn.
     """
     H = np.asarray(D, dtype=float).T
     if H.ndim != 2 or H.shape[0] != net.input_dim:
         raise ScenarioError(f"network batch shape {H.T.shape} is not (N, {net.input_dim})")
     # In place, so at most two (width, N) arrays are live at once.
-    for W, w in net.layers[:-1]:
-        H = W @ H
+    for i, (W, w) in enumerate(net.layers[:-1]):
+        if hidden is None:
+            H = W @ H
+        else:
+            H = np.matmul(W, H, out=hidden[i % 2][:len(w) * H.shape[1]].reshape(len(w), -1))
         H += w[:, None]
         np.maximum(H, 0.0, out=H)
     W, w = net.layers[-1]
-    H = W @ H
+    H = W @ H if out is None else np.matmul(W, H, out=out)
     H += w[:, None]
     return H.T
 

@@ -21,7 +21,8 @@ LPs in the ``n`` state variables: with the earlier layers fixed, a neuron's
 pre-activation is affine in the state.  For a target polytope,
 :func:`max_slack` returns ``z*``, the largest minimum noise-normalised
 target slack any piece reaches, from one ``(n+1)``-variable LP per piece;
-the LPs of every piece against every target of a call run as one batch.
+the LPs of every piece against every target of a call run as one batch
+(:func:`max_slacks` batches several cells' calls).
 The query against the target's augmented set at threshold ``q`` is
 satisfiable exactly when ``z* >= gaussian_quantile(q)``.  The argmax
 piece's LP point is the state whose successor reaches ``z*``: the witness
@@ -543,31 +544,40 @@ def max_slack(pieces, targets, sigma):
     None, None)`` when no piece is feasible and ``(+inf, None, None)`` when
     one of its LPs fails numerically, so a failure can only loosen a bound.
     """
+    return max_slacks([(pieces, targets)], sigma)[0]
+
+
+def max_slacks(queries, sigma):
+    """:func:`max_slack` of each ``(pieces, targets)`` in ``queries``, one
+    list per query, with the LPs of every query in one batch."""
     lps = []
-    for target in targets:
-        spread = _row_spreads(target, sigma)
-        for piece in pieces:
-            k, n = piece.A.shape
-            rows = np.zeros((k + target.num_halfspaces + 1, n + 1))
-            rows[:k, :n] = piece.A
-            rows[k:-1, :n] = target.A @ piece.M
-            rows[k:-1, n] = spread
-            rows[-1, n] = 1.0  # s <= SLACK_CAP, and the objective
-            rhs = np.concatenate([piece.b, target.b - target.A @ piece.m, [SLACK_CAP]])
-            lps.append(linprog.LinearProgram(rows, rhs, objective=("max", rows[-1])))
-    results = linprog.solve_many(lps)
-    out = []
-    for t in range(len(targets)):
-        best = (-np.inf, None, None)
-        for piece, res in zip(pieces, results[t * len(pieces):]):
-            if isinstance(res, linprog.LpNumericalError):
-                best = (np.inf, None, None)
-                break
-            if isinstance(res, linprog.Feasible) and res.objective_value > best[0]:
-                x = res.point[:piece.A.shape[1]]
-                best = (res.objective_value, x, piece.M @ x + piece.m)
-        out.append(best)
-    return out
+    for pieces, targets in queries:
+        for target in targets:
+            spread = _row_spreads(target, sigma)
+            for piece in pieces:
+                k, n = piece.A.shape
+                rows = np.zeros((k + target.num_halfspaces + 1, n + 1))
+                rows[:k, :n] = piece.A
+                rows[k:-1, :n] = target.A @ piece.M
+                rows[k:-1, n] = spread
+                rows[-1, n] = 1.0  # s <= SLACK_CAP, and the objective
+                rhs = np.concatenate([piece.b, target.b - target.A @ piece.m, [SLACK_CAP]])
+                lps.append(linprog.LinearProgram(rows, rhs, objective=("max", rows[-1])))
+    results = iter(linprog.solve_many(lps))
+    return [[_deepest(pieces, [next(results) for _ in pieces]) for _ in targets]
+            for pieces, targets in queries]
+
+
+def _deepest(pieces, results):
+    """``(z*, x, x')`` of one target from its slack LP result per piece."""
+    best = (-np.inf, None, None)
+    for piece, res in zip(pieces, results):
+        if isinstance(res, linprog.LpNumericalError):
+            return (np.inf, None, None)
+        if isinstance(res, linprog.Feasible) and res.objective_value > best[0]:
+            x = res.point[:piece.A.shape[1]]
+            best = (res.objective_value, x, piece.M @ x + piece.m)
+    return best
 
 
 def slack_tolerance(target, sigma):

@@ -22,15 +22,15 @@ the max over members, enters the recursion.
 
 Merging needs a threshold ``p`` in (0, 0.5), the range of the union-bound
 argument above.  ``verify`` decides the separation of every pair of cells
-once per call (by intervals for pairs of box cells, by one emptiness LP for
-each pair they leave undecided) and stacks every owner's row once on the
-arrays of a :class:`~relusafe.rowstack.RowStack`.  Owners do not interact
-within a horizon step, so each step reads the node values once and runs
-the greedy merge of all owners in lockstep, one merge per owner and round,
-in blocks of owners under a fixed budget of target pairs; the plain and
-normalized sums then read every row off the same arrays.  ``naive_step``,
-``tpn_step`` and ``merge_pass`` run the same code on a stack of all rows or
-of one.
+once per call (by intervals for pairs of box cells, by one batch of
+emptiness LPs for the pairs they leave undecided) and stacks every owner's
+row once on the arrays of a :class:`~relusafe.rowstack.RowStack`.  Owners
+do not interact within a horizon step, so each step reads the node values
+once and runs the greedy merge of all owners in lockstep, one merge per
+owner and round, in blocks of owners under a fixed budget of target pairs;
+the plain and normalized sums then read every row off the same arrays.
+``naive_step``, ``tpn_step`` and ``merge_pass`` run the same code on a
+stack of all rows or of one.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import augmented_set, box_pairs, is_empty_intersection, unsafe_overlaps
+from .geometry import augmented_set, box_pairs, empty_intersections, unsafe_overlaps
 from .graph import UNSAFE, cell_node
 from .rowstack import MergeRecord, RowStack  # MergeRecord: verify's records, re-exported
 
@@ -96,9 +96,10 @@ def _separation(graph, p, cells):
     """Boolean matrix ``S[a, b]``: the grown chance sets of cells a and b are disjoint.
 
     Decided for every unordered pair of ``cells`` (cell indices) by
-    :func:`relusafe.geometry.box_pairs`, with one emptiness LP per pair it
-    leaves undecided; rows and columns of other indices, and the diagonal,
-    stay False.
+    :func:`relusafe.geometry.box_pairs`, and the pairs it leaves undecided
+    by one batch of emptiness LPs, in which an LP that fails numerically
+    reads "not separated" (no merge, so the bound stays conservative);
+    rows and columns of other indices, and the diagonal, stay False.
     """
     cells = sorted(cells)
     size = cells[-1] + 1 if cells else 0
@@ -106,8 +107,9 @@ def _separation(graph, p, cells):
     grown = [augmented_set(graph.regions[cell_node(c)], p, graph.sigma) for c in cells]
     disjoint, overlapping, _ = box_pairs(grown, grown)
     disjoint = np.triu(disjoint, 1)
-    for i, j in zip(*np.nonzero(np.triu(~(disjoint | overlapping), 1))):
-        disjoint[i, j] = is_empty_intersection(grown[i], grown[j])
+    undecided = np.nonzero(np.triu(~(disjoint | overlapping), 1))
+    empty = empty_intersections([(grown[i], grown[j]) for i, j in zip(*undecided)])
+    disjoint[undecided] = [verdict is True for verdict in empty]
     sep[np.ix_(cells, cells)] = disjoint | disjoint.T
     return sep
 

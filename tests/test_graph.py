@@ -87,7 +87,7 @@ def test_grid_walk_equals_oracle_bisection(small_scenario):
         reach = gr.CellReach(small_scenario, cell)
         regions = ([t.region for t in small_scenario.partition]
                    + gr.unsafe_pieces(small_scenario.workspace))
-        assert (gr.estimate_edges(small_scenario, cell, regions, dq, reach)
+        assert (gr.estimate_edges(small_scenario, [reach], regions, dq)[0]
                 == [reference_edge(small_scenario, cell, region, dq) for region in regions])
 
 
@@ -109,7 +109,7 @@ def test_grid_walk_equals_oracle_bisection_dense_controller(monkeypatch):
         cell = scenario.partition[i]
         reach = gr.CellReach(scenario, cell)
         assert len(reach.pieces) >= 3
-        row = gr.estimate_edges(scenario, cell, [t.region for t in scenario.partition], dq, reach)
+        row = gr.estimate_edges(scenario, [reach], [t.region for t in scenario.partition], dq)[0]
         assert not nodes  # no grid point fell within the tie tolerance
         assert row == [reference_edge(scenario, cell, t.region, dq) for t in scenario.partition]
         assert sum(e[3] == "smc" for e in row) >= 3
@@ -139,7 +139,7 @@ def test_tie_is_decided_by_the_oracle(small_scenario, monkeypatch):
         return real_solve(problem, *args, **kwargs)
 
     monkeypatch.setattr(smc, "solve", spy)
-    (edge,) = gr.estimate_edges(small_scenario, cell, [tied], dq, reach)
+    ((edge,),) = gr.estimate_edges(small_scenario, [reach], [tied], dq)
     assert len(asked) == 1
     np.testing.assert_array_equal(asked[0].b, augmented_set(tied, 0.5, sigma).b)
     monkeypatch.setattr(smc, "solve", real_solve)

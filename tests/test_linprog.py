@@ -278,7 +278,9 @@ def test_solve_many_member_failure_leaves_companions(rng, monkeypatch, fault):
     """A member that fails numerically gets the error solve raises for it,
     in its slot, and every other member's result is unchanged."""
     lps = batch_corpus(rng)
-    # The victim is the only LP with 5 variables and 17 canonical rows.
+    # The victim is the only LP with 5 variables and 17 canonical rows, and
+    # the only one with a right-hand side of -20, which every certificate of
+    # it uses.
     A = rng.normal(size=(16, 5))
     victim = lp_from_rows(np.vstack([A, -A.sum(axis=0)]),
                           np.append(rng.uniform(0.0, 1.0, size=16), -20.0))
@@ -288,7 +290,8 @@ def test_solve_many_member_failure_leaves_companions(rng, monkeypatch, fault):
     if fault == "audit":
         real = linprog._farkas_holds
         monkeypatch.setattr(linprog, "_farkas_holds",
-                            lambda terms, num_vars, tol: num_vars != 5 and real(terms, num_vars, tol))
+                            lambda weights, A, b, tol: real(weights, A, b, tol)
+                            & ~np.any(b == -20.0, axis=1))
     else:
         real = linprog._iteration_limit
         monkeypatch.setattr(linprog, "_iteration_limit",
@@ -299,3 +302,26 @@ def test_solve_many_member_failure_leaves_companions(rng, monkeypatch, fault):
     assert_same_result(got[20], alone.value)
     for res, expected in zip(got[:20] + got[21:], want):
         assert_same_result(res, expected)
+
+
+def test_solve_many_mixed_widths_past_eight_columns(rng):
+    """Members of 1 to 12 variables share one batch, so most rows are
+    padded to 12 columns: numpy sums 8 or more entries pairwise, and each
+    row norm must still be taken over its own LP's columns to stay
+    bit-identical to solve."""
+    lps = []
+    for k in range(60):
+        n = 1 + k % 12
+        m = int(rng.integers(n + 1, 2 * n + 4))
+        A, b = rng.normal(size=(m, n)) * rng.uniform(0.1, 10.0, size=(m, 1)), rng.normal(size=m)
+        rels = [("<=", "=", ">=")[i] for i in rng.choice(3, size=m, p=(0.8, 0.1, 0.1))]
+        lp = lp_from_rows(A, b, rels)
+        if k % 3:
+            lp = linprog.LinearProgram(lp.rows, lp.rhs, eq=lp.eq, labels=lp.labels,
+                                       objective=("max", rng.normal(size=n)))
+        lps.append(lp)
+    want = [solve_alone(lp) for lp in lps]
+    assert {"Feasible", "Infeasible"} <= {type(res).__name__ for res in want}
+    assert max(lp.num_vars for lp in lps) >= 9
+    for got, expected in zip(linprog.solve_many(lps), want):
+        assert_same_result(got, expected)

@@ -387,3 +387,19 @@ def test_mixed_maps_and_dead_trajectories_pinned(demo_scenario):
     assert (digest(states), digest(first_hit.astype(np.int64))) == (
         "474e0a401d18e694265d713c57ab73e5eaa09f0ea67e8db002cddd92cb5587e2",
         "0ec5323cc6dfc76b57ab62bf57e550c3d98ddb53ebb7f55de9c596a03e83bbe5")
+
+
+def test_two_state_slots_keep_the_last_states_and_hits(demo_scenario):
+    """``history=False`` keeps the last two states of the full rollout in
+    alternating slots and the same first hits; rollouts of other shapes in
+    between, which replace the thread's step buffers, change nothing."""
+    starts = mc.sample_in_polytope(demo_scenario.partition[16].region, 300, mc.stream(5, 0))
+    full, hits = mc.simulate_batch(demo_scenario, starts, 7, 5)
+    mc.simulate_batch(demo_scenario, starts[:40], 3, 6)
+    two, two_hits = mc.simulate_batch(demo_scenario, starts, 7, 5, history=False)
+    assert two.shape == (300, 2, 2)
+    assert np.array_equal(two_hits, hits)
+    assert two[:, 7 % 2].tobytes() == full[:, 7].tobytes()
+    assert two[:, 1 - 7 % 2].tobytes() == full[:, 6].tobytes()
+    again, _ = mc.simulate_batch(demo_scenario, starts, 7, 5)
+    assert again.tobytes() == full.tobytes()

@@ -283,15 +283,26 @@ def test_cell_map_is_identity_without_split(refinable, monkeypatch):
 def test_refined_graph_equals_fresh_build(small_scenario):
     """Refinement re-estimates exactly what a fresh build of the refined
     scenario would estimate, in the same row order: the saved bytes match
-    for the split of every cell (cell 7's halves are 7 and 8)."""
+    for the split of every cell (cell 7's halves are 7 and 8).  The built
+    graph refines from the reach it kept, and a saved and reloaded copy,
+    which kept none, refines to the same bytes, witness and probes."""
     dq = 0.2  # a coarse grid keeps the nine fresh builds cheap
     graph = gr.build_graph(small_scenario, dq)
+    assert set(graph.reach) == set(graph.cell_nodes())
     for i in range(small_scenario.num_cells):
         node = gr.cell_node(i)
-        result = rf.refine_cell(small_scenario, graph, None, node, node, steps=1)
+        loaded = gr.load_graph(gr.save_graph(graph), small_scenario)
+        assert not loaded.reach
+        result = rf.refine_cell(small_scenario, graph, None, node, node, steps=3)
+        again = rf.refine_cell(small_scenario, loaded, None, node, node, steps=3)
         assert result.plan.committed
         fresh = gr.build_graph(result.scenario, dq)
         assert gr.save_graph(result.graph) == gr.save_graph(fresh), f"cell {i}"
+        assert gr.save_graph(again.graph) == gr.save_graph(fresh), f"cell {i}, loaded"
+        assert again.plan.translations == result.plan.translations
+        assert again.plan.witness_x.tobytes() == result.plan.witness_x.tobytes()
+        assert again.plan.witness_x_next.tobytes() == result.plan.witness_x_next.tobytes()
+        assert set(result.graph.reach) == set(result.graph.cell_nodes())
 
 
 def test_select_target_prefers_large_cells():

@@ -297,11 +297,13 @@ def test_numerical_failure_is_unknown_and_conservative(small_scenario, monkeypat
         region = small_scenario.partition[target].region
         calls.clear()
         fail_at = 0
-        (clean,) = gr.estimate_edges(small_scenario, cell, [region], 0.05)
+        ((clean,),) = gr.estimate_edges(small_scenario, [gr.CellReach(small_scenario, cell)],
+                                        [region], 0.05)
         assert clean[3] == "smc"
         for fail_at in range(1, len(calls) + 1):
             calls.clear()
-            (out,) = gr.estimate_edges(small_scenario, cell, [region], 0.05)
+            ((out,),) = gr.estimate_edges(small_scenario, [gr.CellReach(small_scenario, cell)],
+                                          [region], 0.05)
             assert out[3] == "smc"
             assert all(got >= want for got, want in zip(out[:3], clean[:3]))
             moved += out != clean

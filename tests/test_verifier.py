@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from relusafe import graph as gr
+from relusafe import linprog
 from relusafe import rowstack
 from relusafe import scenario as sc
 from relusafe import verifier as vf
@@ -142,6 +143,33 @@ def test_merge_pass_merges_far_pair():
     assert merged_edge[0].target == gr.merged_node([1, 2])
     # The original graph is untouched.
     assert all(e.target.kind != "merged" for e in graph.edges[gr.cell_node(0)])
+
+
+def test_separation_lp_failure_reads_not_separated(monkeypatch):
+    """An emptiness LP of the separation test that fails numerically
+    leaves its pair unseparated: no merge, and no error out of the
+    verifier.  Pairs the intervals decide keep their verdict."""
+    regions = {0: Polytope.box([4, 0], [6, 1]),
+               1: Polytope.box([0, 0], [2, 1]),
+               # Oblique, so its pairs go to the LP.
+               2: Polytope.box([8, 0], [10, 1]).with_extra([1.0, 1.0], 10.5)}
+    graph = strip_scenario(regions, sigma=[0.3, 0.3])
+    bounds = {gr.cell_node(0): 0.0, gr.cell_node(1): 0.9, gr.cell_node(2): 0.9,
+              gr.UNSAFE: 1.0}
+    clean = vf._separation(graph, 0.01, [0, 1, 2])
+    assert clean[0, 1] and clean[1, 2] and clean[0, 2]
+    assert len(vf.merge_pass(graph, gr.cell_node(0), 0.01, bounds)[1]) == 1
+
+    def failing_solve(lp):
+        raise linprog.LpNumericalError("injected fault")
+
+    monkeypatch.setattr(linprog, "solve", failing_solve)
+    monkeypatch.setattr(linprog, "solve_many",
+                        lambda lps: [linprog.LpNumericalError("injected fault") for _ in lps])
+    faulty = vf._separation(graph, 0.01, [0, 1, 2])
+    assert faulty[0, 1] and faulty[1, 0]
+    assert not faulty[1:, 2].any() and not faulty[2, :].any()
+    assert vf.merge_pass(graph, gr.cell_node(0), 0.01, bounds)[1] == []
 
 
 def test_merge_pass_respects_overlapping_augments():
