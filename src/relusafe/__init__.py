@@ -12,9 +12,8 @@ from .geometry import (Hyperplane, Polytope, augmented_set, box_pairs,
 # The package version is the tool version every saved graph records.
 from .graph import TOOL_VERSION as __version__
 from .graph import (UNSAFE, CellReach, Edge, NodeId, TransitionGraph,
-                    build_graph, cell_node, estimate_bound, estimate_edges,
-                    load_graph, merged_node, prune_test, save_graph, sink_edge,
-                    source_row)
+                    build_graph, cell_node, estimate_edges, load_graph,
+                    merged_node, save_graph, sink_edge, source_row)
 from .linprog import LinearProgram, check_certificate
 from .montecarlo import (McEstimate, MonteCarloError, Trajectory,
                          estimate_transition, estimate_true_pk,

@@ -38,6 +38,8 @@ STRICT_MARGIN = 1e-7
 # between the LP's pivot tolerance (1e-9) and STRICT_MARGIN, so a gap of
 # STRICT_MARGIN is still decided by intervals.
 BOX_BAND = 1e-8
+# The absolute error gaussian_quantile documents for itself.
+QUANTILE_ERROR = 1e-9
 
 
 class GeometryError(Exception):
@@ -205,7 +207,8 @@ def _support_value(res, sense):
 
 
 def gaussian_quantile(q):
-    """Inverse standard normal CDF, absolute error well below 1e-9.
+    """Inverse standard normal CDF, absolute error well below
+    :data:`QUANTILE_ERROR`.
 
     Rational initial approximation (Acklam's coefficients) refined by one
     Newton step on the exact CDF computed through erfc.  This is the single

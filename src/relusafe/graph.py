@@ -1,21 +1,21 @@
 """Transition graph with per-edge upper bounds on one-step probabilities.
 
-For an ordered cell pair the bound is the smallest threshold q on a dyadic
-grid at which the reach query against the target's augmented set is
-unsatisfiable: then no state of the source cell transitions with
-probability >= q.  The grid is the one a bisection of [0, 1] down to width
-dq visits, and the query's verdict at each grid point comes from the source
-cell's affine pieces (:func:`relusafe.smc.affine_pieces`): satisfiable
-exactly when the largest noise-normalised target slack ``z*`` the pieces
-reach is at least ``gaussian_quantile(q)``.  A grid point within numerical
-tolerance of ``z*`` is decided by the exact reach-query oracle
-:func:`relusafe.smc.solve` instead, so every bracket is the one a bisection
-driven by that oracle returns.  The pieces are enumerated once per source
-cell and serve every target of its row.
+For an ordered cell pair the bound is a chance threshold q at which the
+reach query against the target's augmented set is unsatisfiable: then no
+state of the source cell transitions with probability >= q.  The query's
+verdict comes from the source cell's affine pieces
+(:func:`relusafe.smc.affine_pieces`): it is satisfiable exactly when the
+largest noise-normalised target slack ``z*`` the pieces reach is at least
+``gaussian_quantile(q)``.  :func:`threshold_bracket` reads the bracket
+``(q_lo, q_hi)`` off ``z*`` in closed form, with every comparison outside
+the numerical tolerance of ``z*`` (:func:`relusafe.smc.slack_tolerance`),
+so the exact reach-query oracle :func:`relusafe.smc.solve` replays it.  The
+pieces are enumerated once per source cell and serve every target of its
+row.
 
 A cheap interval-arithmetic reach-box filter skips pairs whose bound would
-bottom out anyway; filtered pairs keep an edge at the precision floor
-rather than being dropped, since unsatisfiability proves smallness, never
+be ``dq`` anyway; filtered pairs keep an edge of bound ``dq`` rather than
+being dropped, since unsatisfiability proves smallness, never
 impossibility.
 
 :func:`estimate_edges` is the one edge estimator.  It bounds the edges
@@ -26,7 +26,7 @@ regions as another, with results bit-identical to solving each LP alone.
 The build calls it once per source row (:func:`source_row`), so no batch
 is larger than one row's; refinement calls it once for the probes of a
 split and once for every unsplit row's edges into the two halves.  The
-targets' augmented sets at the grid floor are computed once per build
+targets' augmented sets at ``dq`` are computed once per build
 (:class:`RowTargets`) and shared by every row.  A built graph keeps each
 source cell's :class:`CellReach`, its reach box and affine pieces, in
 memory (:meth:`TransitionGraph.cell_reach`), so refinement does not
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -51,11 +50,11 @@ from functools import cached_property
 import numpy as np
 
 from . import smc
-from .geometry import (GeometryError, Polytope, augmented_set, empty_intersections,
-                       gaussian_quantile, outside_facets)
+from .geometry import (QUANTILE_ERROR, GeometryError, Polytope, augmented_set,
+                       empty_intersections, gaussian_cdf, gaussian_quantile, outside_facets)
 from .scenario import scenario_sha256
 
-GRAPH_FORMAT = "relusafe-graph-v2"
+GRAPH_FORMAT = "relusafe-graph-v3"
 TOOL_VERSION = "0.1.0"
 # Outward padding of every reach box, against rounding in its interval bounds.
 REACH_BOX_INFLATE = 1e-9
@@ -123,10 +122,13 @@ def parse_node(text):
 class Edge:
     """One weighted edge.  ``bound`` upper-bounds the transition probability.
 
-    ``q_lo``/``q_hi`` are the final grid bracket (satisfiable /
-    unsatisfiable thresholds, replayable through :func:`relusafe.smc.solve`).
-    ``method`` is one of :data:`EDGE_METHODS`: "smc" for bracketed pairs,
-    "pruned" for reach-box filtered pairs, "unsafe" for the sink edge of a
+    ``q_lo``/``q_hi`` bracket the chance threshold at which the pair's
+    reach query turns unsatisfiable (:func:`threshold_bracket`): the query
+    is satisfiable at ``q_lo`` unless it is 0.0 and unsatisfiable at
+    ``q_hi`` unless it is 1.0, both replayable through
+    :func:`relusafe.smc.solve`.  ``bound`` is ``q_hi``, or ``dq`` for a
+    pruned pair.  ``method`` is one of :data:`EDGE_METHODS`: "smc" for
+    bracketed pairs, "pruned" for reach-box filtered pairs, "unsafe" for the sink edge of a
     cell, "fixed" for the sink self-loop and "merged" for the edge into a
     target group that :mod:`relusafe.verifier` forms.  ``pieces`` carries
     the per-piece records ``(region, bound, q_lo, q_hi, method)`` of a sink
@@ -146,7 +148,6 @@ class TransitionGraph:
     nodes: list
     edges: dict                      # NodeId -> list[Edge]
     dq: float
-    q_threshold_floor: float
     scenario_sha256: str = ""
     regions: dict = field(default_factory=dict)   # NodeId -> Polytope (cell nodes)
     sigma: np.ndarray | None = None
@@ -188,13 +189,6 @@ class TransitionGraph:
         return self
 
 
-def bisection_floor(dq):
-    """Smallest value the threshold grid can return: 2^-ceil(log2(1/dq))."""
-    if not (0.0 < dq < 1.0):
-        raise ValueError("dq must lie in (0,1)")
-    return 2.0 ** (-math.ceil(math.log2(1.0 / dq)))
-
-
 def reach_box(scenario, cell):
     """Interval overapproximation of the noise-free successor means of a cell."""
     lo, hi = cell.region.bounding_box()
@@ -227,23 +221,24 @@ class CellReach:
                 and self.scenario.controller is scenario.controller)
 
 
-def floor_sets(regions, dq, sigma):
-    """Each region's augmented set at the grid floor: the target side of
-    its prune test."""
-    floor = bisection_floor(dq)
-    return [augmented_set(region, floor, sigma) for region in regions]
+def prune_sets(regions, dq, sigma):
+    """Each region's augmented set at ``dq``: the target side of its prune
+    test.  A successor mean outside it violates some row with probability
+    above ``1 - dq``, so a reach box that misses it moves no source state
+    into the region with probability ``dq`` or more."""
+    return [augmented_set(region, dq, sigma) for region in regions]
 
 
 class RowTargets:
     """What every source row shares: its targets, the partition cells in
-    index order and then the unsafe pieces, and their :func:`floor_sets`.
+    index order and then the unsafe pieces, and their :func:`prune_sets`.
     A build makes one and hands it to every row."""
 
     def __init__(self, scenario, dq):
         self.num_cells = scenario.num_cells
         self.pieces = unsafe_pieces(scenario.workspace)
         self.regions = [cell.region for cell in scenario.partition] + self.pieces
-        self.floor_sets = floor_sets(self.regions, dq, scenario.dynamics.sigma)
+        self.prune_sets = prune_sets(self.regions, dq, scenario.dynamics.sigma)
 
 
 def _pruned(pairs):
@@ -253,92 +248,69 @@ def _pruned(pairs):
     return [empty is True for empty in empty_intersections(pairs)]
 
 
-def prune_test(scenario, cell_i, cell_j, dq):
-    """True only when the pair's bound is guaranteed to bottom out.
+# What q_lo is lowered by: half the spacing of floats just below one, where
+# gaussian_cdf may round up past its quantile.  1 - CDF_ROUNDING is the
+# largest float below one.
+CDF_ROUNDING = 2.0 ** -53
 
-    The interval reach box of cell_i is tested for emptiness against the
-    target's augmented set at the grid floor; emptiness makes every reach
-    query on the grid unsatisfiable, so the transition probability of every
-    source state is below dq and the grid walk would have returned its
-    minimum value.
+
+def threshold_bracket(z_star, tol, dq):
+    """``(q_lo, q_hi)`` of a pair whose affine pieces reach the slack
+    ``z_star``, with ``tol`` its :func:`relusafe.smc.slack_tolerance`.
+
+    ``q_hi = max(dq, Phi(z* + tol + QUANTILE_ERROR))`` and ``q_lo =
+    Phi(z* - tol - QUANTILE_ERROR) - CDF_ROUNDING``, each checked once: a
+    ``q_hi`` of one, or whose quantile is not above ``z* + tol``, reads
+    1.0, and a ``q_lo`` not positive, or whose quantile is above ``z* -
+    tol``, reads 0.0.  So the reach query is unsatisfiable at ``q_hi`` and
+    satisfiable at ``q_lo`` by comparisons outside the tolerance band; the
+    band itself reads as satisfiable, as an "unknown" would.  ``z* =
+    -inf`` (no piece) gives ``(0.0, dq)``, ``z* = +inf`` (a failed slack
+    LP) ``(nextafter(1, 0), 1.0)``.  The gap is at most about ``0.8 * (tol
+    + QUANTILE_ERROR)``, or ``dq`` when ``q_hi`` is ``dq``.
     """
-    return _pruned([(reach_box(scenario, cell_i),
-                     floor_sets([cell_j.region], dq, scenario.dynamics.sigma)[0])])[0]
-
-
-def _grid_bracket(reach, region, dq, z_star):
-    """(q_lo, q_hi) on the dyadic threshold grid, as a bisection returns it.
-
-    q_hi is unsatisfiable (or 1.0 untested), q_lo satisfiable (or 0.0), and
-    q_hi - q_lo <= dq.  Each verdict compares the cell's ``z*`` against
-    ``region`` with the threshold's quantile; within
-    :func:`relusafe.smc.slack_tolerance` of ``z*`` it is the oracle's, with
-    "unknown" counted as satisfiable.
-    """
-    scenario, cell = reach.scenario, reach.cell
-    sigma = scenario.dynamics.sigma
-    tol = smc.slack_tolerance(region, sigma)
-    problem = None
-    q_lo, q_hi = 0.0, 1.0
-    while q_hi - q_lo > dq:
-        q = 0.5 * (q_lo + q_hi)
-        z = gaussian_quantile(q)
-        if abs(z_star - z) > tol:
-            sat = z_star > z
-        else:
-            if problem is None:
-                problem = smc.build_encoding(scenario, cell, region)
-            sat = smc.solve(problem.with_target(augmented_set(region, q, sigma))).is_sat
-        if sat:
-            q_lo = q
-        else:
-            q_hi = q
+    q_hi = max(dq, gaussian_cdf(z_star + tol + QUANTILE_ERROR))
+    if q_hi >= 1.0 or not gaussian_quantile(q_hi) > z_star + tol:
+        q_hi = 1.0
+    q_lo = gaussian_cdf(z_star - tol - QUANTILE_ERROR) - CDF_ROUNDING
+    if q_lo <= 0.0 or not gaussian_quantile(q_lo) <= z_star - tol:
+        q_lo = 0.0
     return q_lo, q_hi
 
 
-def estimate_edges(scenario, reaches, regions, dq, floors=None):
+def estimate_edges(scenario, reaches, regions, dq, aug_sets=None):
     """Bound the one-step probability from each source into each of ``regions``.
 
     ``reaches`` holds one :class:`CellReach` per source cell; the result
     holds one list of edge tails per source, one tail per region.  A pair
     the reach box prunes reads ``(dq, 0.0, dq, "pruned")``, any other
-    ``(max(q_hi, dq), q_lo, q_hi, "smc")`` from the threshold grid.  The
+    ``(q_hi, q_lo, q_hi, "smc")`` from :func:`threshold_bracket`.  The
     prune LPs of every pair run as one LP batch, then the slack LPs of
     every source's affine pieces against its unpruned regions as another
-    (:func:`relusafe.smc.max_slacks`), then each unpruned pair's grid walk.
-    ``floors`` are the regions' :func:`floor_sets`, computed when not
-    given.
+    (:func:`relusafe.smc.max_slacks`).  ``aug_sets`` are the regions'
+    :func:`prune_sets`, computed when not given.
     """
     sigma = scenario.dynamics.sigma
-    if floors is None:
-        floors = floor_sets(regions, dq, sigma)
-    cuts = iter(_pruned([(reach.box, floor) for reach in reaches for floor in floors]))
+    if aug_sets is None:
+        aug_sets = prune_sets(regions, dq, sigma)
+    cuts = iter(_pruned([(reach.box, aug) for reach in reaches for aug in aug_sets]))
     pruned = [[next(cuts) for _ in regions] for _ in reaches]
     open_regions = [[region for region, cut in zip(regions, row) if not cut] for row in pruned]
     # Pieces only for the sources with an unpruned region.
     asked = [(reach.pieces, targets) for reach, targets in zip(reaches, open_regions) if targets]
     slacks = iter([z for found in smc.max_slacks(asked, sigma) for z in found])
     out = []
-    for reach, row in zip(reaches, pruned):
+    for row in pruned:
         tails = []
         for region, cut in zip(regions, row):
             if cut:
                 tails.append((dq, 0.0, dq, "pruned"))
                 continue
-            q_lo, q_hi = _grid_bracket(reach, region, dq, next(slacks)[0])
-            tails.append((max(q_hi, dq), q_lo, q_hi, "smc"))
+            tol = smc.slack_tolerance(region, sigma)
+            q_lo, q_hi = threshold_bracket(next(slacks)[0], tol, dq)
+            tails.append((q_hi, q_lo, q_hi, "smc"))
         out.append(tails)
     return out
-
-
-def estimate_bound(scenario, cell_i, cell_j, dq):
-    """Upper bound on the worst-case one-step probability from cell_i to
-    cell_j: the ``q_hi`` that :func:`estimate_edges` brackets, without its
-    prune test, so a pruned pair reads the grid floor rather than dq."""
-    reach = CellReach(scenario, cell_i)
-    region = cell_j.region
-    z_star = smc.max_slack(reach.pieces, [region], scenario.dynamics.sigma)[0][0]
-    return _grid_bracket(reach, region, dq, z_star)[1]
 
 
 def unsafe_pieces(workspace):
@@ -382,7 +354,7 @@ def source_row(scenario, cell, dq, targets=None, reach=None):
     if targets is None:
         targets = RowTargets(scenario, dq)
     reach = CellReach(scenario, cell) if reach is None else reach
-    tails = estimate_edges(scenario, [reach], targets.regions, dq, floors=targets.floor_sets)[0]
+    tails = estimate_edges(scenario, [reach], targets.regions, dq, aug_sets=targets.prune_sets)[0]
     n = targets.num_cells
     row = [Edge(cell_node(j), *tail) for j, tail in enumerate(tails[:n])]
     row.append(sink_from_tails(targets.pieces, tails[n:]))
@@ -414,10 +386,7 @@ def build_graph(scenario, dq, jobs=1):
     nodes = [cell_node(i) for i in range(n)] + [UNSAFE]
     edges = {cell_node(i): row for i, row in enumerate(rows)}
     edges[UNSAFE] = [Edge(UNSAFE, 1.0, q_lo=1.0, q_hi=1.0, method="fixed")]
-    graph = TransitionGraph(
-        nodes=nodes, edges=edges, dq=dq,
-        q_threshold_floor=bisection_floor(dq), reach=reaches,
-    )
+    graph = TransitionGraph(nodes=nodes, edges=edges, dq=dq, reach=reaches)
     for node, row in graph.edges.items():
         for e in row:
             if not (dq - 1e-15 <= e.bound <= 1.0 + 1e-15):
@@ -448,7 +417,6 @@ def save_graph(graph):
         "format": GRAPH_FORMAT,
         "tool_version": TOOL_VERSION,
         "dq": graph.dq,
-        "q_threshold_floor": graph.q_threshold_floor,
         "scenario_sha256": graph.scenario_sha256,
         "payload_sha256": hashlib.sha256(payload.encode()).hexdigest(),
     }
@@ -479,8 +447,8 @@ def load_graph(text, scenario):
     """Parse a graph document written by :func:`save_graph` and bind it to
     its scenario.
 
-    Verifies the format tag (:class:`GraphVersionError`; v1 documents are
-    rejected and must be rebuilt), the payload checksum
+    Verifies the format tag (:class:`GraphVersionError`; v1 and v2
+    documents are rejected and must be rebuilt), the payload checksum
     (:class:`GraphChecksumError`), the payload's structure and every edge
     entry (:class:`GraphError`), and the scenario hash.  Every
     :class:`Edge` field is restored, so the loaded graph behaves like the
@@ -504,13 +472,13 @@ def load_graph(text, scenario):
     try:
         body = json.loads(payload)
         nodes, entries = [parse_node(v) for v in body["nodes"]], list(body["edges"])
-        dq, floor = float(header["dq"]), float(header["q_threshold_floor"])
+        dq = float(header["dq"])
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed graph document: {exc!r}") from exc
     edges = {}
     for entry in entries:
         src, edge = _edge_from_doc(entry)
         edges.setdefault(src, []).append(edge)
-    graph = TransitionGraph(nodes=nodes, edges=edges, dq=dq, q_threshold_floor=floor,
+    graph = TransitionGraph(nodes=nodes, edges=edges, dq=dq,
                             scenario_sha256=header.get("scenario_sha256", ""))
     return graph.bind_scenario(scenario)

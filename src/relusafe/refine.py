@@ -63,17 +63,22 @@ class RefinementResult:
     cell_map: tuple
 
 
-def _satisfiable_threshold(source, edge):
-    """``(q, region)``: the last satisfiable threshold of ``edge``, its
-    ``q_lo``, and None; for a sink edge, the ``q_lo`` and region of its
-    dominant (largest-bound) unsafe piece.  ``q == 0`` marks an edge at
-    the precision floor, which has no witness."""
+def _bracket(source, edge):
+    """``(q_lo, q_hi, region)``: the bracket of ``edge`` and None; for a
+    sink edge, the bracket and region of its dominant (largest-bound)
+    unsafe piece."""
     if edge.target != UNSAFE:
-        return edge.q_lo, None
+        return edge.q_lo, edge.bound, None
     if not edge.pieces:
         raise RefinementError(f"sink edge of {source} has no unsafe piece records")
-    region, _, q_lo, _, _ = max(edge.pieces, key=lambda rec: rec[1])
-    return q_lo, region
+    region, _, q_lo, q_hi, _ = max(edge.pieces, key=lambda rec: rec[1])
+    return q_lo, q_hi, region
+
+
+def _at_floor(graph, source, edge):
+    """True for an edge at the precision floor, which has no witness: its
+    bound, or its dominant unsafe piece's ``q_hi``, is at most ``dq``."""
+    return _bracket(source, edge)[1] <= graph.dq
 
 
 def find_witness(scenario, graph, source, target):
@@ -88,17 +93,17 @@ def find_witness(scenario, graph, source, target):
     unsafe piece is used.  The pieces are the ones the graph keeps for
     ``source`` (:meth:`relusafe.graph.TransitionGraph.cell_reach`).
     Raises :class:`StaleGraphError` when ``z*`` falls short of the edge's
-    last satisfiable threshold (the graph predates a scenario change), and
-    :class:`RefinementError` for edges at the precision floor, which never
-    had a satisfiable threshold, for sink edges without piece records, or
-    when the slack LP fails numerically.
+    satisfiable threshold ``q_lo`` (the graph predates a scenario change),
+    and :class:`RefinementError` for edges at the precision floor
+    (:func:`_at_floor`), for sink edges without piece records, or when the
+    slack LP fails numerically.
     """
     edge = graph.edge(source, target)
     if edge is None:
         raise RefinementError(f"no edge {source} -> {target}")
-    q, region = _satisfiable_threshold(source, edge)
-    if q <= 0.0:
+    if _at_floor(graph, source, edge):
         raise RefinementError(f"edge {source} -> {target} sits at the precision floor")
+    q, _, region = _bracket(source, edge)
     if region is None:
         region = scenario.partition[target.cells[0]].region
     sigma = scenario.dynamics.sigma
@@ -106,7 +111,7 @@ def find_witness(scenario, graph, source, target):
     z_star, x, x_next = max_slack(reach.pieces, [region], sigma)[0]
     if z_star == np.inf:
         raise RefinementError(f"edge {source} -> {target}: slack LP failed numerically")
-    if z_star < gaussian_quantile(q) - slack_tolerance(region, sigma):
+    if q > 0.0 and z_star < gaussian_quantile(q) - slack_tolerance(region, sigma):
         raise StaleGraphError(f"edge {source} -> {target}: no witness at q={q}")
     return x, x_next
 
@@ -242,7 +247,7 @@ def _rebuild_graph(new_scenario, graph, cell_map, reach):
     into_halves = dict(zip(unsplit, estimate_edges(
         new_scenario, [reach[cell_node(i)] for i in unsplit],
         [targets.regions[j] for j in halves], dq,
-        floors=[targets.floor_sets[j] for j in halves])))
+        aug_sets=[targets.prune_sets[j] for j in halves])))
     edges = {}
     for i, cell in enumerate(new_scenario.partition):
         if i in halves:
@@ -260,8 +265,7 @@ def _rebuild_graph(new_scenario, graph, cell_map, reach):
         edges[cell_node(i)] = row
     edges[UNSAFE] = list(graph.edges[UNSAFE])
 
-    out = TransitionGraph(nodes=list(edges), edges=edges, dq=dq,
-                          q_threshold_floor=graph.q_threshold_floor, reach=reach)
+    out = TransitionGraph(nodes=list(edges), edges=edges, dq=dq, reach=reach)
     return out.bind_scenario(new_scenario)
 
 
@@ -269,8 +273,8 @@ def select_target(graph, bounds, k):
     """Pick the (cell, edge) most worth refining at horizon ``k``.
 
     Score is edge bound times the target's k-step bound times the source's
-    Chebyshev radius; edges at the precision floor, which have no witness
-    (:func:`find_witness`), are skipped.
+    Chebyshev radius; edges at the precision floor (:func:`_at_floor`),
+    which have no witness, are skipped.
     Deterministic: ties resolve to the smallest source, then target.
     """
     best = None
@@ -279,7 +283,7 @@ def select_target(graph, bounds, k):
         for edge in graph.edges[source]:
             if edge.target == source:
                 continue
-            if _satisfiable_threshold(source, edge)[0] <= 0.0:
+            if _at_floor(graph, source, edge):
                 continue
             score = edge.bound * bounds.value(k, edge.target) * radius
             key = (-score, source, edge.target)

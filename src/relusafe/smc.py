@@ -24,7 +24,9 @@ target slack any piece reaches, from one ``(n+1)``-variable LP per piece;
 the LPs of every piece against every target of a call run as one batch
 (:func:`max_slacks` batches several cells' calls).
 The query against the target's augmented set at threshold ``q`` is
-satisfiable exactly when ``z* >= gaussian_quantile(q)``.  The argmax
+satisfiable exactly when ``z* >= gaussian_quantile(q)``, up to
+:func:`slack_tolerance`; the transition graph reads its edge bounds off
+``z*`` this way (:func:`relusafe.graph.threshold_bracket`).  The argmax
 piece's LP point is the state whose successor reaches ``z*``: the witness
 refinement splits around.
 
@@ -38,8 +40,8 @@ away rather than kept as variables.  Unassigned neurons are relaxed to
 satisfiable completion); an infeasible LP prunes the subtree and learns, as
 a conflict clause, the negation of the branch literals whose rows carry
 weight in its Farkas certificate.  Its feasible leaves are the affine
-pieces above; it decides thresholds that fall within numerical tolerance
-of ``z*`` and replays brackets.
+pieces above.  The library itself never calls it: it is the independent
+check that replays the graph's threshold brackets.
 """
 
 from __future__ import annotations
@@ -581,13 +583,17 @@ def _deepest(pieces, results):
 
 
 def slack_tolerance(target, sigma):
-    """Band around ``z*`` inside which a threshold's verdict must come from
-    :func:`solve` rather than from comparing ``z*`` with its quantile.
+    """Band around ``z*`` inside which comparing ``z*`` with a threshold's
+    quantile does not decide the reach query.
 
     A point an LP accepts may violate each normalised row by
     ``linprog.EPS_FEAS``; on target row ``i`` that is ``EPS_FEAS * |a_i| /
     spread_i`` in slack units.  The band is twice the largest of these, one
-    for the slack LP and one for the oracle's leaf LP.
+    for the slack LP and one for the oracle's leaf LP, so a threshold
+    whose quantile lies outside the band gets the oracle's verdict from
+    the comparison alone.  The graph reads every threshold inside the
+    band as satisfiable, the verdict an "unknown" gets
+    (:func:`relusafe.graph.threshold_bracket`).
     """
     ratio = np.linalg.norm(target.A, axis=1) / _row_spreads(target, sigma)
     return 2.0 * linprog.EPS_FEAS * float(np.max(ratio))

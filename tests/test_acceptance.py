@@ -173,7 +173,7 @@ def test_criterion_6_normalization_worked_example():
     for t in targets:
         edges[t] = []
     graph = gr.TransitionGraph(nodes=[owner, *targets, gr.UNSAFE], edges=edges,
-                               dq=0.01, q_threshold_floor=1 / 128)
+                               dq=0.01)
     bounds_k = {targets[0]: 0.1, targets[1]: 0.5, targets[2]: 1.0,
                 owner: 0.0, gr.UNSAFE: 1.0}
     tpn = vf.tpn_step(graph, bounds_k)[owner]

@@ -108,19 +108,21 @@ def test_floor_edge_refinement_exits_with_message(workdir):
     assert "precision floor" in message
 
 
-def test_v1_graph_exits_with_message(workdir):
-    """A graph document in the retired v1 format is rejected with a one-line
-    message naming the format."""
+@pytest.mark.parametrize("version", ["v1", "v2"])
+def test_v1_graph_exits_with_message(workdir, version):
+    """A graph document in a retired format, v1 or v2, is rejected with a
+    one-line message naming the format."""
+    retired = f"relusafe-graph-{version}"
     head, _, payload = (workdir / "graph.txt").read_text().partition("\n")
-    (workdir / "graph_v1.txt").write_text(
-        head.replace(gr.GRAPH_FORMAT, "relusafe-graph-v1") + "\n" + payload)
+    (workdir / f"graph_{version}.txt").write_text(
+        head.replace(gr.GRAPH_FORMAT, retired) + "\n" + payload)
     with pytest.raises(SystemExit) as info:
-        cli.main(["verify", "--graph", str(workdir / "graph_v1.txt"),
+        cli.main(["verify", "--graph", str(workdir / f"graph_{version}.txt"),
                   "--scenario", str(workdir / "scen.json"),
-                  "--horizon", "2", "--out", str(workdir / "bounds_v1.csv")])
+                  "--horizon", "2", "--out", str(workdir / f"bounds_{version}.csv")])
     message = str(info.value.code)
     assert message.startswith("graph error: ") and "\n" not in message
-    assert "relusafe-graph-v1" in message
+    assert retired in message
 
 
 def test_compare_report(workdir):

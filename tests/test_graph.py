@@ -1,9 +1,10 @@
-"""Transition graph: threshold-grid mechanics, equality with a bisection
-driven by the reach-query oracle, pruning guarantees, unsafe-edge
-decomposition, build structure, and document persistence."""
+"""Transition graph: the closed-form threshold bracket, its replay by the
+reach-query oracle, pruning guarantees, unsafe-edge decomposition, build
+structure, and document persistence."""
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,16 +14,24 @@ from relusafe import montecarlo as mc
 from relusafe import refine as rf
 from relusafe import scenario as sc
 from relusafe import smc
-from relusafe.geometry import Polytope, augmented_set, is_empty_intersection
+from relusafe.geometry import (QUANTILE_ERROR, Polytope, augmented_set, gaussian_cdf,
+                               gaussian_quantile, is_empty_intersection)
 
 
-def test_bisection_floor_values():
-    assert gr.bisection_floor(0.1) == pytest.approx(0.0625)
-    assert gr.bisection_floor(0.01) == pytest.approx(1 / 128)
-    assert gr.bisection_floor(0.5) == pytest.approx(0.5)
+def edge_tail(scenario, cell, region, dq):
+    """The tail :func:`gr.estimate_edges` gives the pair ``(cell, region)``."""
+    return gr.estimate_edges(scenario, [gr.CellReach(scenario, cell)], [region], dq)[0][0]
+
+
+def fixed_slack(monkeypatch, z_star):
+    """Make every slack query read ``z_star``."""
+    monkeypatch.setattr(smc, "max_slacks", lambda queries, sigma: [
+        [(z_star, None, None)] * len(targets) for _, targets in queries])
 
 
 def test_bisection_trace_always_unsat(small_scenario, monkeypatch):
+    """No piece reaches the target: the bracket is ``(0, dq)``, and only
+    ``dq``'s quantile is asked."""
     seen = []
     true_quantile = gr.gaussian_quantile
 
@@ -31,38 +40,74 @@ def test_bisection_trace_always_unsat(small_scenario, monkeypatch):
         return true_quantile(q)
 
     monkeypatch.setattr(gr, "gaussian_quantile", spy)
-    monkeypatch.setattr(smc, "max_slack",
-                        lambda pieces, targets, sigma: [(-np.inf, None, None)] * len(targets))
+    fixed_slack(monkeypatch, -np.inf)
     cell = small_scenario.partition[0]
-    bound = gr.estimate_bound(small_scenario, cell, small_scenario.partition[1], 0.1)
-    assert seen == [0.5, 0.25, 0.125, 0.0625]
-    assert bound == pytest.approx(0.0625)
+    tail = edge_tail(small_scenario, cell, small_scenario.partition[1].region, 0.1)
+    assert seen == [0.1]
+    assert tail == (0.1, 0.0, 0.1, "smc")
 
 
 def test_bisection_always_sat(small_scenario, monkeypatch):
-    monkeypatch.setattr(smc, "max_slack",
-                        lambda pieces, targets, sigma: [(np.inf, None, None)] * len(targets))
+    """A failed slack LP reads ``z* = +inf``: the bound is one."""
+    fixed_slack(monkeypatch, np.inf)
     cell = small_scenario.partition[0]
-    bound = gr.estimate_bound(small_scenario, cell, small_scenario.partition[1], 0.1)
-    assert bound == 1.0
+    tail = edge_tail(small_scenario, cell, small_scenario.partition[1].region, 0.1)
+    assert tail == (1.0, math.nextafter(1.0, 0.0), 1.0, "smc")
 
 
-def reference_edge(scenario, cell, region, dq):
-    """The edge tuple of a threshold bisection that asks the reach-query
-    oracle at every step, after the same prune test."""
+@pytest.mark.parametrize("z_star", [-np.inf, -40.0, -38.0, -8.0, -1.0, 0.0, 1.0, 6.6,
+                                    7.5, 8.2, 8.3, 40.0, np.inf])
+@pytest.mark.parametrize("dq", [0.01, 1e-6])
+def test_threshold_bracket_rounding_contract(z_star, dq):
+    """Across the range of ``z*``: +-inf, values where the CDF rounds to
+    zero (-40) or one (8.3, 40), and values where it rounds up past its
+    quantile next to one (6.6, 7.5, 8.2).  ``q_hi`` is at least ``dq`` and
+    its quantile lies above the tolerance band, or it is one; ``q_lo``'s
+    quantile lies below the band, or it is zero; and the gap is at most
+    ``dq``."""
+    tol = 2e-7
+    q_lo, q_hi = gr.threshold_bracket(z_star, tol, dq)
+    assert dq <= q_hi <= 1.0 and 0.0 <= q_lo < 1.0
+    assert q_hi == 1.0 or gaussian_quantile(q_hi) > z_star + tol
+    assert q_lo == 0.0 or gaussian_quantile(q_lo) <= z_star - tol
+    assert q_hi - q_lo <= dq
+    cdf_hi = gaussian_cdf(z_star + tol + QUANTILE_ERROR)
+    cdf_lo = gaussian_cdf(z_star - tol - QUANTILE_ERROR)
+    if cdf_hi >= 1.0:
+        assert q_hi == 1.0
+    if cdf_hi <= dq:
+        assert q_hi == dq
+    if cdf_lo == 0.0:
+        assert q_lo == 0.0
+    if cdf_lo >= 1.0:
+        assert q_lo == math.nextafter(1.0, 0.0)
+
+
+def replay_edge(scenario, cell, region, tail, dq):
+    """Check ``tail``, the edge tail of ``(cell, region)``, against the
+    reach-query oracle: a pruned pair's reach box misses the region's
+    augmented set at ``dq``; any other has ``bound == q_hi >= dq``, a gap
+    of at most ``dq``, an unsatisfiable query at ``q_hi`` unless it is one
+    and a satisfiable one at ``q_lo`` unless it is zero.  Returns the DPLL
+    node counts of the replayed queries."""
     sigma = scenario.dynamics.sigma
-    if is_empty_intersection(gr.reach_box(scenario, cell),
-                             augmented_set(region, gr.bisection_floor(dq), sigma)):
-        return dq, 0.0, dq, "pruned"
+    bound, q_lo, q_hi, method = tail
+    if method == "pruned":
+        assert tail == (dq, 0.0, dq, "pruned")
+        assert is_empty_intersection(gr.reach_box(scenario, cell),
+                                     augmented_set(region, dq, sigma))
+        return []
+    assert method == "smc"
+    assert bound == q_hi >= dq
+    assert q_hi - q_lo <= dq
     problem = smc.build_encoding(scenario, cell, region)
-    q_lo, q_hi = 0.0, 1.0
-    while q_hi - q_lo > dq:
-        q = 0.5 * (q_lo + q_hi)
-        if smc.solve(problem.with_target(augmented_set(region, q, sigma))).is_sat:
-            q_lo = q
-        else:
-            q_hi = q
-    return max(q_hi, dq), q_lo, q_hi, "smc"
+    nodes = []
+    for q, status in ((q_hi, "unsat"), (q_lo, "sat")):
+        if 0.0 < q < 1.0:
+            out = smc.solve(problem.with_target(augmented_set(region, q, sigma)))
+            assert out.status == status, f"{status} expected at q={q}"
+            nodes.append(out.nodes)
+    return nodes
 
 
 def dense_scenario(seed):
@@ -80,45 +125,52 @@ def dense_scenario(seed):
                        workspace=base.workspace, partition=base.partition)
 
 
+def forbid_oracle(monkeypatch):
+    """Make the reach-query oracle and its encoding raise when called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reach-query oracle was called")
+
+    monkeypatch.setattr(smc, "solve", refuse)
+    monkeypatch.setattr(smc, "build_encoding", refuse)
+
+
 def test_grid_walk_equals_oracle_bisection(small_scenario):
-    """Every pair and unsafe piece of the small scenario, at dq 0.05."""
+    """Every pair and unsafe piece of the small scenario, at dq 0.05: the
+    oracle replays each bracket."""
     dq = 0.05
+    regions = ([t.region for t in small_scenario.partition]
+               + gr.unsafe_pieces(small_scenario.workspace))
     for cell in small_scenario.partition:
         reach = gr.CellReach(small_scenario, cell)
-        regions = ([t.region for t in small_scenario.partition]
-                   + gr.unsafe_pieces(small_scenario.workspace))
-        assert (gr.estimate_edges(small_scenario, [reach], regions, dq)[0]
-                == [reference_edge(small_scenario, cell, region, dq) for region in regions])
+        row = gr.estimate_edges(small_scenario, [reach], regions, dq)[0]
+        for region, tail in zip(regions, row):
+            replay_edge(small_scenario, cell, region, tail, dq)
 
 
 def test_grid_walk_equals_oracle_bisection_dense_controller(monkeypatch):
-    """Two source rows where the cell splits into several pieces and the
-    oracle has to branch."""
+    """Two source rows where the cell splits into several pieces: the
+    estimate asks no oracle, and replaying its brackets makes the oracle
+    branch."""
     scenario = dense_scenario(1)
     dq = 0.05
-    nodes = []
-    real_solve = smc.solve
-
-    def counting_solve(*args, **kwargs):
-        out = real_solve(*args, **kwargs)
-        nodes.append(out.nodes)
-        return out
-
-    monkeypatch.setattr(smc, "solve", counting_solve)
+    regions = [t.region for t in scenario.partition]
     for i in (21, 23):
         cell = scenario.partition[i]
         reach = gr.CellReach(scenario, cell)
         assert len(reach.pieces) >= 3
-        row = gr.estimate_edges(scenario, [reach], [t.region for t in scenario.partition], dq)[0]
-        assert not nodes  # no grid point fell within the tie tolerance
-        assert row == [reference_edge(scenario, cell, t.region, dq) for t in scenario.partition]
+        with monkeypatch.context() as patch:
+            forbid_oracle(patch)
+            row = gr.estimate_edges(scenario, [reach], regions, dq)[0]
         assert sum(e[3] == "smc" for e in row) >= 3
+        nodes = [n for region, tail in zip(regions, row)
+                 for n in replay_edge(scenario, cell, region, tail, dq)]
         assert max(nodes) > 1
-        nodes.clear()
 
 
 def test_tie_is_decided_by_the_oracle(small_scenario, monkeypatch):
-    """A target shifted so that z* sits exactly on the first grid quantile."""
+    """A target shifted so that z* sits on the quantile of 0.5, a tie the
+    estimate once sent to the oracle: now the bracket straddles 0.5, the
+    estimate asks no oracle, and the oracle replays the bracket."""
     dq = 0.05
     cell = small_scenario.partition[4]
     sigma = small_scenario.dynamics.sigma
@@ -131,19 +183,20 @@ def test_tie_is_decided_by_the_oracle(small_scenario, monkeypatch):
     assert abs(smc.max_slack(reach.pieces, [tied], sigma)[0][0] - gr.gaussian_quantile(0.5)) \
         <= smc.slack_tolerance(tied, sigma)
 
-    asked = []
-    real_solve = smc.solve
+    with monkeypatch.context() as patch:
+        forbid_oracle(patch)
+        ((tail,),) = gr.estimate_edges(small_scenario, [reach], [tied], dq)
+    assert tail[1] < 0.5 < tail[2]
+    replay_edge(small_scenario, cell, tied, tail, dq)
 
-    def spy(problem, *args, **kwargs):
-        asked.append(problem.target)
-        return real_solve(problem, *args, **kwargs)
 
-    monkeypatch.setattr(smc, "solve", spy)
-    ((edge,),) = gr.estimate_edges(small_scenario, [reach], [tied], dq)
-    assert len(asked) == 1
-    np.testing.assert_array_equal(asked[0].b, augmented_set(tied, 0.5, sigma).b)
-    monkeypatch.setattr(smc, "solve", real_solve)
-    assert edge == reference_edge(small_scenario, cell, tied, dq)
+def test_build_asks_no_oracle_at_a_fine_dq(demo_scenario, monkeypatch):
+    """At dq 1e-6 the threshold grid put 36 of the demo build's thresholds
+    within the tolerance band of z* and sent them to the oracle; the build
+    now never calls the oracle or its encoding."""
+    forbid_oracle(monkeypatch)
+    graph = gr.build_graph(demo_scenario, 1e-6)
+    assert all(e.bound >= 1e-6 for row in graph.edges.values() for e in row)
 
 
 def zero_controller_scenario(sigma=1e-3, grid=2):
@@ -167,7 +220,7 @@ def test_absorbing_self_loop_bound():
     scenario = zero_controller_scenario()
     dq = 0.05
     cell = scenario.partition[0]
-    bound = gr.estimate_bound(scenario, cell, cell, dq)
+    bound = edge_tail(scenario, cell, cell.region, dq)[0]
     assert bound >= 1.0 - dq
     # Ground truth: a state at the cell center stays put almost surely.
     est = mc.estimate_transition(scenario, np.array([1.0, 1.0]),
@@ -177,31 +230,33 @@ def test_absorbing_self_loop_bound():
 
 
 def test_prune_far_pair_and_containing_target(small_scenario):
+    dq = 0.05
     far_i, far_j = small_scenario.partition[0], small_scenario.partition[8]
-    assert gr.prune_test(small_scenario, far_i, far_j, dq=0.05)
+    assert edge_tail(small_scenario, far_i, far_j.region, dq) == (dq, 0.0, dq, "pruned")
     # A target containing the reach box can never be pruned.
-    box = gr.reach_box(small_scenario, far_i)
-    lo, hi = box.bounding_box()
-    big = sc.PartitionCell(id="big", region=Polytope.box(lo - 1, hi + 1),
-                           C=np.eye(2), c=np.zeros(2))
-    assert not gr.prune_test(small_scenario, far_i, big, dq=0.05)
+    lo, hi = gr.reach_box(small_scenario, far_i).bounding_box()
+    big = Polytope.box(lo - 1, hi + 1)
+    assert edge_tail(small_scenario, far_i, big, dq)[3] == "smc"
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_prune_implies_floor_bound(seed):
-    """Whenever the filter fires, the bisection bottoms out at the grid floor."""
+    """Whenever the filter fires, the pair's bracket, computed without the
+    filter, bounds it by ``dq`` as well."""
     scenario = sc.make_demo_scenario(3, [6, 4], seed=seed)
     rng = np.random.default_rng(seed)
     dq = 0.05
-    floor = gr.bisection_floor(dq)
+    sigma = scenario.dynamics.sigma
     fired = 0
     pairs = rng.permutation(
         [(i, j) for i in range(scenario.num_cells) for j in range(scenario.num_cells)])
     for i, j in pairs[:10]:
-        cell_i, cell_j = scenario.partition[i], scenario.partition[j]
-        if gr.prune_test(scenario, cell_i, cell_j, dq):
+        cell_i, region = scenario.partition[i], scenario.partition[j].region
+        if edge_tail(scenario, cell_i, region, dq)[3] == "pruned":
             fired += 1
-            assert gr.estimate_bound(scenario, cell_i, cell_j, dq) == pytest.approx(floor)
+            z_star = smc.max_slack(smc.affine_pieces(scenario, cell_i), [region], sigma)[0][0]
+            tol = smc.slack_tolerance(region, sigma)
+            assert gr.threshold_bracket(z_star, tol, dq)[1] == dq
     assert fired >= 1  # the sampled pairs always include distant ones
 
 
@@ -295,9 +350,9 @@ def test_bisection_contract_replay(small_graph, small_scenario):
 
 def test_halving_dq_never_loosens(small_scenario):
     cell_i = small_scenario.partition[4]
-    cell_j = small_scenario.partition[5]
-    coarse = gr.estimate_bound(small_scenario, cell_i, cell_j, 0.1)
-    fine = gr.estimate_bound(small_scenario, cell_i, cell_j, 0.05)
+    region = small_scenario.partition[5].region
+    coarse = edge_tail(small_scenario, cell_i, region, 0.1)[0]
+    fine = edge_tail(small_scenario, cell_i, region, 0.05)[0]
     assert fine <= coarse + 1e-12
 
 
@@ -306,8 +361,7 @@ def assert_same_graph(loaded, built):
     bit for bit; sink pieces are compared by their region's ``A`` and ``b``
     and their record fields."""
     assert loaded.nodes == built.nodes
-    assert (loaded.dq, loaded.q_threshold_floor, loaded.scenario_sha256) == \
-        (built.dq, built.q_threshold_floor, built.scenario_sha256)
+    assert (loaded.dq, loaded.scenario_sha256) == (built.dq, built.scenario_sha256)
     assert list(loaded.edges) == list(built.edges)
     for source, row in built.edges.items():
         assert len(loaded.edges[source]) == len(row)
@@ -473,19 +527,20 @@ def refined_demo_graph(demo_scenario, demo_graph):
 
 
 @pytest.mark.parametrize("fixture, v1_digest, digest", [
-    ("demo_graph", "9b1317cc90aea2cece19f9a143da8f1849892c46e81d64a8182e2e445af97794",
-     "bb0499975f07235b0406cd1903002b3d51c6f2e993ebe6a28d71e074e2f46dc1"),
-    ("small_graph", "0da4221cf010fdf9aa2eb86b8da7e2179a8033a3d09744dbbfb32982db80b1d7",
-     "744961d8e97c1b736dcdbbebec578b309a04601bf64ba091c0b2ac4142b8d6c1"),
-    ("deep3_graph", "01ce378f66c4ebdd5a5496176cbfdeebf4f9583be450d1b814b8feadbe731d68",
-     "e3f8712cdb5ca2da03bb014ee43d710b604d7adfd03b3ee2f83a80511ed597b7"),
-    ("refined_demo_graph", "874cabbe3e942c07674bfbbbd29447e5437d1ff1f3158a22cf6be9a2991dc533",
-     "9ca0b6eba011d34e508fbdaeeea911a7f4125d0850c6bf40c9b9d150bd5a993d"),
-])
+    ("demo_graph", "6d0b62fe2dd99c911cc586b76678628c361471ffb27fa62e454b76ee7f6f1bdb",
+     "a91cf840a769c7aa1d0cbb44ad5bec6832f16709082e9dc6e1dd64bf18249898"),
+    ("small_graph", "30a659a4425c32a2c107752f764ad93d9a84124b2350da250b135d739b19468b",
+     "b2f5a2af101a7329628a754ad6d570a8976f8bfd60531e631b5019b3cec4734e"),
+    ("deep3_graph", "1bc89c89a02366958319dea159db10a1d3493dd0578c48637cf39ed4334411a1",
+     "4ac45d2ffd63813573e63d205371f1f58b9f8d1c0db2f8f6db309d077e36e56f"),
+    ("refined_demo_graph", "86a996f9c48ff744aef2db8ea84ee9d8fb5b043d51e7ad5a7fd4c1fef537f1ae",
+     "95ff7612b3c10ed36fe393446e679407284ccadb51dddc02223470ee5b9a5cf9"),
+], ids=["demo_graph", "small_graph", "deep3_graph", "refined_demo_graph"])
 def test_saved_graph_bytes_pinned(request, fixture, v1_digest, digest):
-    """Every bound follows from sat/unsat verdicts alone; a solver change that
-    keeps every verdict keeps these bytes.  The document's v1 projection,
-    ``(source, target, bound)`` triples, keeps the digest the v1 format had."""
+    """Every bound follows from the prune LPs' verdicts and the slack LPs'
+    ``z*`` alone; a solver change that keeps them keeps these bytes.  The
+    document's v1 projection, ``(source, target, bound)`` triples, pins the
+    bounds apart from the brackets."""
     doc = gr.save_graph(request.getfixturevalue(fixture))
     assert hashlib.sha256(v1_projection(doc).encode()).hexdigest() == v1_digest
     assert hashlib.sha256(doc.encode()).hexdigest() == digest

@@ -13,7 +13,7 @@ from relusafe import refine as rf
 from relusafe import scenario as sc
 from relusafe import smc
 from relusafe import verifier as vf
-from relusafe.geometry import Polytope, augmented_set, chebyshev_center
+from relusafe.geometry import Polytope, augmented_set, chebyshev_center, gaussian_cdf
 from relusafe.scenario import validate_scenario
 
 
@@ -315,7 +315,7 @@ def test_select_target_prefers_large_cells():
     }
     graph = gr.TransitionGraph(
         nodes=[gr.cell_node(0), gr.cell_node(1), gr.UNSAFE], edges=edges,
-        dq=0.01, q_threshold_floor=1 / 128,
+        dq=0.01,
         regions={gr.cell_node(i): r for i, r in regions.items()},
         sigma=np.array([0.3, 0.3]))
     bounds = vf.SafetyBounds(horizon=1, merge_p=None, mode="naive", per_k=[
@@ -337,7 +337,7 @@ def test_select_target_prefers_dominant_unsafe_edge():
     }
     graph = gr.TransitionGraph(
         nodes=[gr.cell_node(0), gr.cell_node(1), gr.UNSAFE], edges=edges,
-        dq=0.01, q_threshold_floor=1 / 128,
+        dq=0.01,
         regions={gr.cell_node(0): region,
                  gr.cell_node(1): Polytope.box([2, 0], [4, 2])},
         sigma=np.array([0.3, 0.3]))
@@ -402,8 +402,9 @@ def test_chebyshev_radius_drops_after_split(refinable):
 
 def test_find_witness_dominates_the_oracle_leaf_witness(demo_scenario, demo_graph):
     """find_witness returns a successor at least as deep in the target's
-    chance set, in noise-normalized slack, as the leaf witness of the same
-    query, and deeper on some edge."""
+    chance set, in noise-normalized slack, as the leaf witness of the
+    reach query at a threshold well below the edge's, ``Phi(z* - 1)``,
+    and deeper on some edge."""
     sigma = demo_scenario.dynamics.sigma
 
     def depth(aug, x_next):
@@ -414,10 +415,15 @@ def test_find_witness_dominates_the_oracle_leaf_witness(demo_scenario, demo_grap
     for source in demo_graph.cell_nodes()[:4]:
         cell = demo_scenario.partition[source.cells[0]]
         for edge in demo_graph.edges[source]:
-            if edge.method != "smc" or edge.q_lo <= 0.0:
+            if edge.method != "smc" or edge.bound <= demo_graph.dq:
                 continue
             region = demo_scenario.partition[edge.target.cells[0]].region
-            aug = augmented_set(region, edge.q_lo, sigma)
+            reach = demo_graph.cell_reach(demo_scenario, source)
+            z_star = smc.max_slack(reach.pieces, [region], sigma)[0][0]
+            q = gaussian_cdf(z_star - 1.0)
+            if not 0.0 < q < 1.0:
+                continue
+            aug = augmented_set(region, q, sigma)
             leaf = smc.solve(smc.build_encoding(demo_scenario, cell, aug))
             _, x_next = rf.find_witness(demo_scenario, demo_graph, source, edge.target)
             gains.append(depth(aug, x_next) - depth(aug, leaf.witness_x_next))

@@ -70,10 +70,10 @@ def test_render_byte_identical(demo_scenario, demo_bounds, tmp_path):
     render.render_heatmap(bounds, 6, demo_scenario, b)
     assert a.read_bytes() == b.read_bytes()
     assert hashlib.sha256(a.read_bytes()).hexdigest() == (
-        "0ffa89716f7983e6eb5195d5b0855983a491cf3dd8defa43f11f23f0e34cc17c")
+        "fd440ba65ecef66224c4bf759f05c6f216bd4d38fb8a1f4fe44e7448bb6526ce")
     render.render_heatmap(bounds, 9, demo_scenario, a)
     assert hashlib.sha256(a.read_bytes()).hexdigest() == (
-        "af8855ad148b83f37f09c798211dde38071c0e999b7f1a2e1fed9f963870b4c9")
+        "5a8e8591e220bcda8da63bf68d1cfc37993d2c49692a967920d9040223c071ef")
 
 
 def test_render_rejects_bad_horizon(demo_scenario):

@@ -35,8 +35,7 @@ def synthetic_graph(rows, sigma=None, regions=None):
         edges[onode] = lst
     edges[gr.UNSAFE] = [gr.Edge(gr.UNSAFE, 1.0)]
     nodes.add(gr.UNSAFE)
-    graph = gr.TransitionGraph(nodes=sorted(nodes), edges=edges, dq=0.01,
-                               q_threshold_floor=1 / 128)
+    graph = gr.TransitionGraph(nodes=sorted(nodes), edges=edges, dq=0.01)
     if sigma is not None:
         graph.sigma = np.asarray(sigma, dtype=float)
     if regions is not None:
@@ -313,12 +312,12 @@ def test_verify_ignores_merge_threshold_without_merging(demo_graph, demo_scenari
 # "horizon owner member0 member1 merged repr(new_bound)") for the demo graph
 # at horizon 9, p = 0.01.
 DEMO_DIGESTS = {
-    "naive": ("65039158e8a696f6fbae2d268f578ac4c5bed5e25b6c5229fb415e4f0dbdc609", 0, None),
-    "merge": ("ddf7c2cc37658a3c33f4916512521be512bae72566e82cc24f4fef12fc987784", 2295,
-              "68283549093a655332a56933b09fa8c4c58dbf58098814b84d9c3f0b3963710f"),
-    "tpn": ("b7e932f4e98f2487a94e44ff86ae18ed13d7cdba896e8027296e27d3e29194e0", 0, None),
-    "merge+tpn": ("800e162367dbb841a0742595dba1b8f1deb692f27707ad5334ac3b88c3a4ba79", 1888,
-                  "0a5a1ddc4b16195059688ad8b474ef4e4db501d7d8044ef5316068bcef322537"),
+    "naive": ("2c7648c4f4b5c841bdafa740e0be08615238e6f0017161c7696cad6fefd56014", 0, None),
+    "merge": ("90576f09c3554f6589161d91c862d4137a7e58d3d0a63bdc01a0e0d9a1eaaa08", 2294,
+              "ef4ee8aa851b8722123784d15b5ec31fec0abd24adca5b90432b4ce76873fb2b"),
+    "tpn": ("d1ddc116fa27a2747298f6d57012aae738d943e86210cbac991abb35f9109b9b", 0, None),
+    "merge+tpn": ("11cad1a10fa21723d973b81a1253cb6209a756a21aa3b91769d89b3e2e757316", 1873,
+                  "c5bedc6df1db940511d037547e21c56cf4a9ff3c9c1e1d5de403da7c75b6ec25"),
 }
 
 
