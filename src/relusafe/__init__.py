@@ -13,7 +13,7 @@ from .geometry import (Hyperplane, Polytope, augmented_set, box_pairs,
 from .graph import TOOL_VERSION as __version__
 from .graph import (UNSAFE, CellReach, Edge, NodeId, TransitionGraph,
                     build_graph, cell_node, estimate_edges, load_graph,
-                    merged_node, save_graph, sink_edge, source_row)
+                    merged_node, save_graph, sink_edge)
 from .linprog import LinearProgram, check_certificate
 from .montecarlo import (McEstimate, MonteCarloError, Trajectory,
                          estimate_transition, estimate_true_pk,

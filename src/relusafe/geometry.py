@@ -165,21 +165,14 @@ class Polytope:
         """Tight axis-aligned (lo, hi); memoized.
 
         Read off :meth:`axis_bounds` for a non-empty axis-aligned polytope,
-        otherwise from 2n support LPs, solved as one
-        :func:`relusafe.linprog.solve_many` batch and read in axis order,
-        the minimum before the maximum, as :meth:`extreme` reads each.
+        otherwise the :meth:`extremes` of the unit vectors.
         """
         if self._bbox is None:
             axis = self.axis_bounds()
             if axis is not None and np.all(axis[0] <= axis[1]):
                 self._bbox = axis
                 return self._bbox
-            eye = np.eye(self.dim)
-            results = linprog.solve_many(
-                [self._support_lp(e, sense) for e in eye for sense in ("min", "max")])
-            values = np.array([_support_value(res, sense)
-                               for res, sense in zip(results, ("min", "max") * self.dim)])
-            self._bbox = (values[0::2], values[1::2])
+            self._bbox = self.extremes(np.eye(self.dim))
         return self._bbox
 
     def _support_lp(self, direction, sense):
@@ -188,6 +181,16 @@ class Polytope:
     def extreme(self, direction, sense):
         """Min or max of ``direction . x`` over the polytope (inf if unbounded)."""
         return _support_value(linprog.solve(self._support_lp(direction, sense)), sense)
+
+    def extremes(self, directions):
+        """``(lo, hi)``: :meth:`extreme` of each row of ``directions``, from
+        one :func:`relusafe.linprog.solve_many` batch of support LPs, read
+        row by row, the minimum before the maximum."""
+        senses = ("min", "max") * len(directions)
+        results = linprog.solve_many([self._support_lp(d, sense)
+                                      for d in directions for sense in ("min", "max")])
+        values = np.array([_support_value(res, sense) for res, sense in zip(results, senses)])
+        return values[0::2], values[1::2]
 
     def __repr__(self):
         return f"Polytope(dim={self.dim}, halfspaces={self.num_halfspaces})"
@@ -328,14 +331,38 @@ def split(poly, hyperplane):
     :class:`DegenerateSplitError` unless both sides have nonempty interior,
     signalling the caller to pick another hyperplane.
     """
-    nrm = hyperplane.normal
-    off = hyperplane.offset
-    margin = STRICT_MARGIN * max(1.0, float(np.linalg.norm(nrm)))
-    lower_int = poly.with_extra(nrm, off - margin)
-    upper_int = poly.with_extra(-nrm, -(off + margin))
-    if lower_int.is_empty() or upper_int.is_empty():
-        raise DegenerateSplitError("hyperplane does not cut the polytope interior")
-    return poly.with_extra(nrm, off), poly.with_extra(-nrm, -off)
+    (parts,) = split_many(poly, [hyperplane])
+    if isinstance(parts, DegenerateSplitError):
+        raise parts
+    return parts
+
+
+def split_many(poly, hyperplanes):
+    """Per hyperplane, the parts :func:`split` returns or the
+    :class:`DegenerateSplitError` it raises.  The open interiors of every
+    cut are tested in one :func:`relusafe.linprog.solve_many` batch and
+    read as :func:`split` reads them, the lower before the upper, so a
+    numerical failure raises where it would."""
+    lps = []
+    for hp in hyperplanes:
+        margin = STRICT_MARGIN * max(1.0, float(np.linalg.norm(hp.normal)))
+        lps += [linprog.LinearProgram(np.vstack([poly.A, hp.normal]),
+                                      np.append(poly.b, hp.offset - margin)),
+                linprog.LinearProgram(np.vstack([poly.A, -hp.normal]),
+                                      np.append(poly.b, -(hp.offset + margin)))]
+    res = linprog.solve_many(lps)
+    return [DegenerateSplitError("hyperplane does not cut the polytope interior")
+            if _infeasible(res[2 * k]) or _infeasible(res[2 * k + 1]) else
+            (poly.with_extra(hp.normal, hp.offset), poly.with_extra(-hp.normal, -hp.offset))
+            for k, hp in enumerate(hyperplanes)]
+
+
+def _infeasible(res):
+    """Whether a batch slot holds :class:`relusafe.linprog.Infeasible`;
+    raises the :class:`relusafe.linprog.LpNumericalError` it may hold."""
+    if isinstance(res, linprog.LpNumericalError):
+        raise res
+    return isinstance(res, linprog.Infeasible)
 
 
 def box_pairs(polys1, polys2):

@@ -23,13 +23,14 @@ from a list of sources into a list of regions: the prune LPs of every
 (source, region) pair run as one :func:`relusafe.linprog.solve_many`
 batch and the slack LPs of every source's pieces against its unpruned
 regions as another, with results bit-identical to solving each LP alone.
-The build calls it once per source row (:func:`source_row`), so no batch
-is larger than one row's; refinement calls it once for the probes of a
-split and once for every unsplit row's edges into the two halves.  The
-targets' augmented sets at ``dq`` are computed once per build
-(:class:`RowTargets`) and shared by every row.  A built graph keeps each
-source cell's :class:`CellReach`, its reach box and affine pieces, in
-memory (:meth:`TransitionGraph.cell_reach`), so refinement does not
+The build calls it once for every source row (:func:`source_rows`), so it
+makes one prune batch and one slack batch, which ``solve_many`` runs in
+fixed-size lockstep chunks; refinement calls it once for the probes of a
+split, once for the two halves' rows and once for every unsplit row's
+edges into the halves.  The targets' augmented sets at ``dq`` are
+computed once per build (:class:`RowTargets`) and shared by every row.  A
+built graph keeps each source cell's :class:`CellReach`, its reach box and
+affine pieces, in memory (:meth:`TransitionGraph.cell_reach`), so refinement does not
 enumerate them again; the reach is not saved, and a loaded graph makes it
 on first use.
 
@@ -344,44 +345,48 @@ def sink_edge(scenario, cell, dq, reach=None):
     return sink_from_tails(pieces, estimate_edges(scenario, [reach], pieces, dq)[0])
 
 
-def source_row(scenario, cell, dq, targets=None, reach=None):
-    """All outgoing edges of one source cell: every partition cell in index
-    order, then the sink.  One :func:`estimate_edges` call covers the
-    partition and the unsafe pieces, so the row's prune LPs run as one
-    batch and its slack LPs as another.  ``targets`` is the build's
-    :class:`RowTargets` and ``reach`` the cell's :class:`CellReach`; each
-    is made when not given."""
-    if targets is None:
-        targets = RowTargets(scenario, dq)
-    reach = CellReach(scenario, cell) if reach is None else reach
-    tails = estimate_edges(scenario, [reach], targets.regions, dq, aug_sets=targets.prune_sets)[0]
+def source_rows(scenario, cells, dq, targets, reaches=None):
+    """All outgoing edges of each of ``cells``, one row per cell: every
+    partition cell in index order, then the sink.  One
+    :func:`estimate_edges` call covers every row, the partition and the
+    unsafe pieces, so the prune LPs of all the rows run as one batch and
+    their slack LPs as another.  ``targets`` is the build's
+    :class:`RowTargets` and ``reaches`` the cells' :class:`CellReach`,
+    made when not given."""
+    if reaches is None:
+        reaches = [CellReach(scenario, cell) for cell in cells]
     n = targets.num_cells
-    row = [Edge(cell_node(j), *tail) for j, tail in enumerate(tails[:n])]
-    row.append(sink_from_tails(targets.pieces, tails[n:]))
-    return row
+    return [[Edge(cell_node(j), *tail) for j, tail in enumerate(tails[:n])]
+            + [sink_from_tails(targets.pieces, tails[n:])]
+            for tails in estimate_edges(scenario, reaches, targets.regions, dq,
+                                        aug_sets=targets.prune_sets)]
 
 
 def build_graph(scenario, dq, jobs=1):
     """Estimate bounds for every ordered cell pair plus the sink edges.
 
-    Pair estimation is independent per source cell; with ``jobs > 1`` the
-    source rows fan out to worker processes and come back in cell order.
-    The rows' :class:`RowTargets` are made once and shared by every row.
-    With one job the graph keeps each source cell's :class:`CellReach`
-    (see :meth:`TransitionGraph.cell_reach`).  Any worker failure aborts
-    the build; partial graphs are never returned.
+    One :func:`source_rows` call estimates every source row; with ``jobs >
+    1`` each worker process makes that call on one contiguous slice of the
+    cells, and the rows come back in cell order.  The rows'
+    :class:`RowTargets` are made once and shared by every row.  With one
+    job the graph keeps each source cell's :class:`CellReach` (see
+    :meth:`TransitionGraph.cell_reach`).  Any worker failure aborts the
+    build; partial graphs are never returned.
     """
     n = scenario.num_cells
     targets = RowTargets(scenario, dq)
-    args = ([scenario] * n, scenario.partition, [dq] * n, [targets] * n)
     reaches = {}
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(source_row, *args))
+        parts = max(1, min(jobs, n))
+        slices = [scenario.partition[n * p // parts:n * (p + 1) // parts] for p in range(parts)]
+        with ProcessPoolExecutor(max_workers=parts) as pool:
+            rows = [row for part in pool.map(source_rows, [scenario] * parts, slices,
+                                             [dq] * parts, [targets] * parts)
+                    for row in part]
     else:
         reaches = {cell_node(i): CellReach(scenario, cell)
                    for i, cell in enumerate(scenario.partition)}
-        rows = list(map(source_row, *args, reaches.values()))
+        rows = source_rows(scenario, scenario.partition, dq, targets, list(reaches.values()))
 
     nodes = [cell_node(i) for i in range(n)] + [UNSAFE]
     edges = {cell_node(i): row for i, row in enumerate(rows)}

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .geometry import (DegenerateSplitError, Hyperplane, chebyshev_center,
-                       gaussian_quantile, split)
+                       gaussian_quantile, split_many)
 from .graph import (UNSAFE, CellReach, Edge, RowTargets, TransitionGraph, cell_node,
-                    estimate_edges, sink_from_tails, source_row, unsafe_pieces)
+                    estimate_edges, sink_from_tails, source_rows, unsafe_pieces)
 from .scenario import PartitionCell, Scenario
 from .smc import max_slack, slack_tolerance
 
@@ -166,24 +166,24 @@ def refine_cell(scenario, graph, bounds, source, target, steps=4):
     plan.hyperplane = hp
 
     region = cell.region
-    lo = region.extreme(hp.normal, "min")
-    hi = region.extreme(hp.normal, "max")
+    (lo,), (hi,) = region.extremes([hp.normal])
     c0 = float(hp.normal @ x)
     downward = (c0 - lo) >= (hi - c0)  # cut on the roomier side, away from x
     far = lo if downward else hi
     margin = 1e-6 * max(1.0, hi - lo)
 
     # One half per translation that cuts the cell: the half away from the
-    # witness is a probe, and the edges of all probes are estimated at once.
+    # witness is a probe.  The cuts are tested in one batch, and the edges
+    # of all probes are estimated at once.
+    offsets = [c0 + (far - c0) * (t / steps) for t in range(steps)]
+    offsets = [offset for offset in offsets
+               if not (offset - lo <= margin or hi - offset <= margin)]
+    cuts = split_many(region, [Hyperplane(normal=hp.normal, offset=offset) for offset in offsets])
     splits, probes = [], []
-    for t in range(steps):
-        offset = c0 + (far - c0) * (t / steps)
-        if offset - lo <= margin or hi - offset <= margin:
+    for offset, parts in zip(offsets, cuts):
+        if isinstance(parts, DegenerateSplitError):
             continue
-        try:
-            lower, upper = split(region, Hyperplane(normal=hp.normal, offset=offset))
-        except DegenerateSplitError:
-            continue
+        lower, upper = parts
         near, away = (upper, lower) if downward else (lower, upper)
         splits.append((offset, near))
         probes.append(CellReach(scenario, PartitionCell(id=f"{cell.id}b", region=away,
@@ -227,12 +227,12 @@ def _rebuild_graph(new_scenario, graph, cell_map, reach):
     ``reach`` holds the :class:`~relusafe.graph.CellReach` of every new
     cell it knows, the ones the old graph kept for the unsplit cells and
     the probe's for the half away from the witness; the new graph keeps
-    them, and the other half's.  Rows of the two halves are estimated
-    afresh, one :func:`~relusafe.graph.estimate_edges` call each, and
-    every unsplit row's edges into the halves come from one call for all
-    of those rows, so their prune LPs run as one batch and their slack LPs
-    as another; all other edges are copied from the old graph through
-    ``cell_map``.
+    them, and the other half's.  The rows of the two halves are estimated
+    afresh in one :func:`~relusafe.graph.source_rows` call, and every
+    unsplit row's edges into the halves come from one
+    :func:`~relusafe.graph.estimate_edges` call for all of those rows, so
+    each call's prune LPs run as one batch and its slack LPs as another;
+    all other edges are copied from the old graph through ``cell_map``.
     """
     dq = graph.dq
     halves = next(new for new in cell_map if len(new) == 2)
@@ -248,10 +248,13 @@ def _rebuild_graph(new_scenario, graph, cell_map, reach):
         new_scenario, [reach[cell_node(i)] for i in unsplit],
         [targets.regions[j] for j in halves], dq,
         aug_sets=[targets.prune_sets[j] for j in halves])))
+    half_rows = dict(zip(halves, source_rows(
+        new_scenario, [new_scenario.partition[j] for j in halves], dq, targets,
+        [reach[cell_node(j)] for j in halves])))
     edges = {}
-    for i, cell in enumerate(new_scenario.partition):
+    for i in range(new_scenario.num_cells):
         if i in halves:
-            edges[cell_node(i)] = source_row(new_scenario, cell, dq, targets, reach[cell_node(i)])
+            edges[cell_node(i)] = half_rows[i]
             continue
         old_row = {e.target: e for e in graph.edges[cell_node(old_index[i])]}
         new_tails = dict(zip(halves, into_halves[i]))

@@ -339,6 +339,12 @@ class Scenario:
         cs = np.stack([cell.c for cell in self.partition])
         return Cs, cs, bool(np.all(Cs == Cs[0]) and np.all(cs == cs[0]))
 
+    @cached_property
+    def sha256(self):
+        """SHA-256 of :func:`dump_scenario`'s document, taken once: a scenario
+        and its parts are not changed once made."""
+        return hashlib.sha256(dump_scenario(self).encode()).hexdigest()
+
     @property
     def num_cells(self):
         return len(self.partition)
@@ -570,7 +576,8 @@ def dump_scenario(scenario):
 
 
 def scenario_sha256(scenario):
-    return hashlib.sha256(dump_scenario(scenario).encode()).hexdigest()
+    """The digest of ``scenario``'s canonical document (:attr:`Scenario.sha256`)."""
+    return scenario.sha256
 
 
 def load_scenario(text, validate=True):

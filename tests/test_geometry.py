@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from relusafe import geometry
+from relusafe import geometry, linprog
 from relusafe.geometry import (Hyperplane, Polytope, augmented_set,
                                cell_unsafe_overlap, chebyshev_center,
                                gaussian_quantile, is_empty_intersection, split)
@@ -153,6 +153,30 @@ def test_split_outside_is_degenerate():
     square = Polytope.box([0, 0], [1, 1])
     with pytest.raises(geometry.DegenerateSplitError):
         split(square, Hyperplane(np.array([1.0, 0.0]), 2.0))
+
+
+@pytest.mark.parametrize("slot, raises", [(0, True), (1, False), (2, True)])
+def test_split_many_reads_each_cut_lower_first(monkeypatch, slot, raises):
+    """The interiors of all cuts share one batch and are read as split
+    reads them: the first cut's lower interior is empty, so its upper test
+    is never read, and a numerical failure raises when it is read."""
+    square = Polytope.box([0, 0], [1, 1])
+    planes = [Hyperplane(np.array([1.0, 0.0]), offset) for offset in (-1.0, 0.5)]
+    real = linprog.solve_many
+
+    def faulty(lps):
+        out = real(lps)
+        out[slot] = linprog.LpNumericalError("injected")
+        return out
+
+    monkeypatch.setattr(linprog, "solve_many", faulty)
+    if raises:
+        with pytest.raises(linprog.LpNumericalError, match="injected"):
+            geometry.split_many(square, planes)
+    else:
+        degenerate, parts = geometry.split_many(square, planes)
+        assert isinstance(degenerate, geometry.DegenerateSplitError)
+        assert [part.num_halfspaces for part in parts] == [5, 5]
 
 
 def random_bounded_polytope(rng, n, rows):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from relusafe import graph as gr
+from relusafe import linprog
 from relusafe import montecarlo as mc
 from relusafe import refine as rf
 from relusafe import scenario as sc
@@ -501,13 +502,50 @@ def test_build_hashes_the_scenario_once(small_scenario, monkeypatch):
         graph.bind_scenario(sc.make_demo_scenario(2, [6, 4], seed=9))
 
 
+def test_scenario_is_dumped_once_per_object(monkeypatch):
+    """The digest is kept on the scenario object: another build and a load
+    of the same scenario dump it no more, and the refined scenario, a new
+    object, is dumped once."""
+    calls = []
+    real = sc.dump_scenario
+    monkeypatch.setattr(sc, "dump_scenario", lambda scenario: calls.append(scenario)
+                        or real(scenario))
+    scenario = sc.make_demo_scenario(2, [6, 4], seed=9)
+    graph = gr.build_graph(scenario, dq=0.2)
+    assert calls == [scenario]
+    gr.build_graph(scenario, dq=0.2)
+    gr.load_graph(gr.save_graph(graph), scenario)
+    assert calls == [scenario]
+    result = rf.refine_cell(scenario, graph, None, gr.cell_node(0), gr.cell_node(0), steps=3)
+    assert result.plan.committed and calls == [scenario, result.scenario]
+
+
 def test_parallel_build_matches_serial(small_scenario):
-    serial = gr.build_graph(small_scenario, dq=0.2, jobs=1)
-    parallel = gr.build_graph(small_scenario, dq=0.2, jobs=2)
-    for v in serial.edges:
-        for e in serial.edges[v]:
-            twin = parallel.edge(v, e.target)
-            assert twin.bound == e.bound and twin.q_lo == e.q_lo
+    """Each of 1, 2 and 3 jobs gives the same graph bytes; 2 jobs split the
+    nine rows unevenly."""
+    serial = gr.save_graph(gr.build_graph(small_scenario, dq=0.2, jobs=1))
+    for jobs in (2, 3):
+        assert gr.save_graph(gr.build_graph(small_scenario, dq=0.2, jobs=jobs)) == serial
+
+
+def test_build_runs_two_batches_in_bounded_chunks(demo_scenario, monkeypatch):
+    """A one-job build gives all its rows one prune batch and one slack
+    batch, and ``solve_many`` runs each in lockstep chunks of at most
+    ``LOCKSTEP_CHUNK`` members: as many chunks as those two batches need,
+    not a batch per row."""
+    batches, chunks = [], []
+    many, lockstep = linprog.solve_many, linprog._solve_lockstep
+    monkeypatch.setattr(linprog, "solve_many",
+                        lambda lps: batches.append(len(lps)) or many(lps))
+    monkeypatch.setattr(linprog, "_solve_lockstep",
+                        lambda lps: chunks.append(len(lps)) or lockstep(lps))
+    gr.build_graph(demo_scenario, dq=0.01)
+    prune, slack = [size for size in batches if size >= linprog.LOCKSTEP_MIN]
+    cells = demo_scenario.num_cells
+    assert prune == cells * (cells + len(gr.unsafe_pieces(demo_scenario.workspace)))
+    size = linprog.LOCKSTEP_CHUNK
+    assert max(chunks) <= size < slack
+    assert len(chunks) == -(-prune // size) - (-slack // size)
 
 
 @pytest.fixture(scope="module")

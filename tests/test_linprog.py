@@ -325,3 +325,39 @@ def test_solve_many_mixed_widths_past_eight_columns(rng):
     assert max(lp.num_vars for lp in lps) >= 9
     for got, expected in zip(linprog.solve_many(lps), want):
         assert_same_result(got, expected)
+
+
+def test_solve_many_in_chunks_is_solve_bit_for_bit(rng, monkeypatch):
+    """A batch run in lockstep chunks of three members gives every member
+    solve's result: members of 1 to 12 variables, infeasible ones with
+    their certificates, an unbounded one, ones without an objective or
+    without rows, and one whose certificate is made to fail its audit."""
+    wide = []
+    for n in range(1, 13):
+        m = int(rng.integers(n + 1, 2 * n + 4))
+        lp = lp_from_rows(rng.normal(size=(m, n)), rng.normal(size=m))
+        wide.append(linprog.LinearProgram(lp.rows, lp.rhs, objective=("max", rng.normal(size=n))))
+    # As in the member failure test: every certificate of the victim uses
+    # its right-hand side of -20, which no other member has.
+    A = rng.normal(size=(16, 5))
+    victim = lp_from_rows(np.vstack([A, -A.sum(axis=0)]),
+                          np.append(rng.uniform(0.0, 1.0, size=16), -20.0))
+    real = linprog._farkas_holds
+    monkeypatch.setattr(linprog, "_farkas_holds",
+                        lambda weights, A, b, tol: real(weights, A, b, tol)
+                        & ~np.any(b == -20.0, axis=1))
+    corpus = batch_corpus(rng)
+    lps = corpus[:30] + wide + [victim] + corpus[-40:]
+    want = [solve_alone(lp) for lp in lps]
+    assert isinstance(want[42], linprog.LpNumericalError)
+    assert {lp.num_vars for lp in lps} == set(range(1, 13))
+    assert {"Feasible", "Infeasible", "Unbounded"} <= {type(res).__name__ for res in want}
+    assert any(isinstance(r, linprog.Feasible) and r.objective_value is None for r in want)
+    chunks = []
+    lockstep = linprog._solve_lockstep
+    monkeypatch.setattr(linprog, "LOCKSTEP_CHUNK", 3)
+    monkeypatch.setattr(linprog, "_solve_lockstep",
+                        lambda batch: chunks.append(len(batch)) or lockstep(batch))
+    for got, expected in zip(linprog.solve_many(lps), want):
+        assert_same_result(got, expected)
+    assert max(chunks) == 3 and sum(chunks) == sum(len(lp.rhs) > 0 for lp in lps)

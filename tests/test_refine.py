@@ -270,10 +270,10 @@ def test_cell_map_is_identity_without_split(refinable, monkeypatch):
     scenario, graph, bounds = refinable
     source, edgerec = pick_strong_edge(graph)
 
-    def degenerate(region, plane):
-        raise rf.DegenerateSplitError("forced")
+    def degenerate(region, planes):
+        return [rf.DegenerateSplitError("forced") for _ in planes]
 
-    monkeypatch.setattr(rf, "split", degenerate)
+    monkeypatch.setattr(rf, "split_many", degenerate)
     result = rf.refine_cell(scenario, graph, bounds, source, edgerec.target, steps=3)
     assert not result.plan.committed
     assert result.scenario is scenario and result.graph is graph
