@@ -28,5 +28,5 @@ from .scenario import (PartitionCell, ReluNetwork, Scenario, SystemDynamics,
 from .smc import SmcOutcome, SmcProblem, build_encoding, check_pattern
 from .smc import solve as solve_smc
 from .verifier import (MergeRecord, SafetyBounds, bounds_from_csv,
-                       bounds_to_csv, init_p0, merge_pass, naive_step,
-                       tpn_step, verify)
+                       bounds_to_csv, init_p0, naive_step, tpn_step,
+                       verify)

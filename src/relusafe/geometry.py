@@ -229,19 +229,18 @@ def gaussian_quantile(q):
     d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
          3.754408661907416e+00)
     p_low = 0.02425
+    if q > 1.0 - p_low:
+        # By symmetry: 1 - q is exact for q >= 1/2; the CDF next to one is not.
+        return -gaussian_quantile(1.0 - q)
     if q < p_low:
         r = math.sqrt(-2.0 * math.log(q))
         z = (((((c[0] * r + c[1]) * r + c[2]) * r + c[3]) * r + c[4]) * r + c[5]) / \
             ((((d[0] * r + d[1]) * r + d[2]) * r + d[3]) * r + 1.0)
-    elif q <= 1.0 - p_low:
+    else:
         r = q - 0.5
         s = r * r
         z = (((((a[0] * s + a[1]) * s + a[2]) * s + a[3]) * s + a[4]) * s + a[5]) * r / \
             (((((b[0] * s + b[1]) * s + b[2]) * s + b[3]) * s + b[4]) * s + 1.0)
-    else:
-        r = math.sqrt(-2.0 * math.log(1.0 - q))
-        z = -(((((c[0] * r + c[1]) * r + c[2]) * r + c[3]) * r + c[4]) * r + c[5]) / \
-            ((((d[0] * r + d[1]) * r + d[2]) * r + d[3]) * r + 1.0)
     # One Newton step: z -= (Phi(z) - q) / phi(z).
     cdf = 0.5 * math.erfc(-z / math.sqrt(2.0))
     pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)

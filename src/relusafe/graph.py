@@ -73,7 +73,7 @@ class GraphVersionError(GraphError):
     pass
 
 
-EDGE_METHODS = ("smc", "pruned", "unsafe", "fixed", "merged")
+EDGE_METHODS = ("smc", "pruned", "unsafe", "fixed")
 
 
 @dataclass(frozen=True, order=True)
@@ -109,13 +109,12 @@ def merged_node(indices):
 
 
 def parse_node(text):
+    """A saved node: a cell or the sink (merged nodes live inside a verify step)."""
     if text == "unsafe":
         return UNSAFE
     kind, _, rest = text.partition(":")
     if kind == "cell":
         return cell_node(int(rest))
-    if kind == "merged":
-        return merged_node(int(c) for c in rest.split("+"))
     raise GraphError(f"bad node literal {text!r}")
 
 
@@ -130,8 +129,7 @@ class Edge:
     :func:`relusafe.smc.solve`.  ``bound`` is ``q_hi``, or ``dq`` for a
     pruned pair.  ``method`` is one of :data:`EDGE_METHODS`: "smc" for
     bracketed pairs, "pruned" for reach-box filtered pairs, "unsafe" for the sink edge of a
-    cell, "fixed" for the sink self-loop and "merged" for the edge into a
-    target group that :mod:`relusafe.verifier` forms.  ``pieces`` carries
+    cell and "fixed" for the sink self-loop.  ``pieces`` carries
     the per-piece records ``(region, bound, q_lo, q_hi, method)`` of a sink
     edge, one per unsafe piece.
     """
@@ -454,8 +452,9 @@ def load_graph(text, scenario):
 
     Verifies the format tag (:class:`GraphVersionError`; v1 and v2
     documents are rejected and must be rebuilt), the payload checksum
-    (:class:`GraphChecksumError`), the payload's structure and every edge
-    entry (:class:`GraphError`), and the scenario hash.  Every
+    (:class:`GraphChecksumError`), the payload's structure and every node
+    and edge entry (:class:`GraphError`, also for a merged node or edge),
+    and the scenario hash.  Every
     :class:`Edge` field is restored, so the loaded graph behaves like the
     built one.
     """

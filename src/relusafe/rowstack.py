@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Edge, NodeId, merged_node
+from .graph import NodeId, merged_node
 
 # Most target pairs (owners x pairs per row) one block of the lockstep merge
 # scores at once: a block's score array and each temporary of its size stay
@@ -36,15 +36,6 @@ class MergeRecord:
     merged: NodeId
     new_bound: float
     horizon: int
-
-
-def _group_separation(sep, groups):
-    """``G[i, j]``: every cell of group i is separated from every cell of group j."""
-    flat = [c for g in groups for c in g]
-    starts = np.cumsum([0] + [len(g) for g in groups[:-1]])
-    cell_level = sep[np.ix_(flat, flat)]
-    return np.logical_and.reduceat(np.logical_and.reduceat(cell_level, starts, axis=0),
-                                   starts, axis=1)
 
 
 def _union_bound(bx, by, p):
@@ -74,10 +65,10 @@ class RowStack:
 
     Each target of a row owns a slot: its edge bound, its index into
     :attr:`nodes` (node values are gathered from one vector per step), its
-    position in the row and its :meth:`order_key`.  :class:`NodeId` orders
-    by ``(kind, cells)``, so on a row whose targets share no cell the key
-    gives that order; a row whose targets do share a cell (or the sink) is
-    flagged ``exact`` and breaks its ties by the nodes themselves.  Padding
+    position in the row and its :meth:`order_key`.  Each row holds distinct
+    cell targets and at most one sink, so the targets of a row, and the
+    merged targets a step forms from them, share no cell: the key gives the
+    order of :class:`NodeId`, ``(kind, cells)``, and ties nowhere.  Padding
     slots have bound zero, point at a last node of value zero and hold the
     position :attr:`empty`.  A row of ``width`` slots merges at most
     ``width - 1`` times, so its positions stay below ``empty = 2 * width - 1``.
@@ -107,8 +98,6 @@ class RowStack:
             self.node[o, :len(row)] = [index[e.target] for e in row]
             self.pos[o, :len(row)] = np.arange(len(row))
         self.key = np.array([self.order_key(node) for node in self.nodes] + [0])[self.node]
-        members = [[c for e in row for c in e.target.cells or (-1,)] for row in rows]
-        self.exact = np.array([len(m) != len(set(m)) for m in members], dtype=bool)
         upper_i, upper_j = np.triu_indices(width, 1)
         self.pair_i, self.pair_j = np.append(upper_i, 0), np.append(upper_j, 0)
         self.pair = np.full((width, width), upper_i.size)
@@ -132,49 +121,26 @@ class RowStack:
         return found
 
     def separation(self, sep):
-        """Group separation of :attr:`nodes` from the cell matrix ``sep``,
+        """Separation of :attr:`nodes` gathered from the cell matrix ``sep``,
         with a last row and column for the padding node; the unsafe sink
         and the padding node are separated from nothing."""
-        groups = [i for i, node in enumerate(self.nodes) if node.kind != "unsafe"]
-        out = np.zeros((len(self.nodes) + 1,) * 2, dtype=bool)
-        if groups:
-            out[np.ix_(groups, groups)] = _group_separation(
-                sep, [self.nodes[i].cells for i in groups])
-        return out
-
-    def blocks(self, values):
-        """Fresh state of each block of owners, in owner order, for a step
-        from ``values``, the value of each of :attr:`nodes`."""
-        values = np.append(np.asarray(values, dtype=float), 0.0)
-        for lo in range(0, len(self.rows), self.block):
-            yield _Block(self, slice(lo, lo + self.block), values)
+        nothing = len(sep)
+        cells = [node.cells[0] if node.kind == "cell" else nothing for node in self.nodes]
+        return np.pad(sep, (0, 1))[np.ix_(cells + [nothing], cells + [nothing])]
 
     def step(self, values, normalize, sep=None, p=None, horizon=0):
-        """One horizon step of every row from the node ``values``: (row
-        values in owner order, merge records).  Rows merge first when
-        ``sep`` (from :meth:`separation`) is given."""
+        """One horizon step of every row from ``values``, the value of each
+        of :attr:`nodes`, block by block of owners: (row values in owner
+        order, merge records).  Rows merge first when ``sep`` (from
+        :meth:`separation`) is given."""
+        values = np.append(np.asarray(values, dtype=float), 0.0)
         row_values, records = [], []
-        for block in self.blocks(values):
+        for lo in range(0, len(self.rows), self.block):
+            block = _Block(self, slice(lo, lo + self.block), values)
             if sep is not None:
                 records += block.merge(sep, p, horizon)
             row_values += block.values(normalize).tolist()
         return row_values, records
-
-    def merge_rows(self, values, sep, p):
-        """Every row merged to its fixpoint: (merged rows, merge records).
-        Surviving edges keep their row order, and each merged edge goes to
-        the end of the row."""
-        rows, records = [], []
-        for block in self.blocks(values):
-            records += block.merge(sep, p, horizon=0)
-            for row, pos, targets, bound in zip(block.edges, block.pos.tolist(),
-                                                block.targets, block.bound.tolist()):
-                slots = sorted((s for s in range(len(pos)) if pos[s] != self.empty),
-                               key=pos.__getitem__)
-                rows.append([row[pos[s]] if pos[s] < len(row)
-                             else Edge(target=targets[s], bound=bound[s], method="merged")
-                             for s in slots])
-        return rows, records
 
 
 class _Block:
@@ -183,14 +149,12 @@ class _Block:
     def __init__(self, stack, part, values):
         self.stack = stack
         self.owners = stack.owners[part]
-        self.exact = stack.exact[part]
         self.node = stack.node[part]
         self.bound = stack.bound[part].copy()
         self.value = values[self.node]
         self.key = stack.key[part].copy()
         self.pos = stack.pos[part].copy()
-        self.edges = stack.rows[part]
-        self.targets = [[e.target for e in row] for row in self.edges]
+        self.targets = [[e.target for e in row] for row in stack.rows[part]]
 
     def merge(self, sep, p, horizon):
         """Greedy merging of every row to its fixpoint, in lockstep.
@@ -256,18 +220,13 @@ class _Block:
         top = np.flatnonzero(pair == np.maximum.reduceat(pair, starts)[o])
         x, y = np.empty_like(rows), np.empty_like(rows)
         x[o[top]], y[o[top]] = i[top], j[top]
-        for r in np.flatnonzero(self.exact[rows]):
-            targets = self.targets[rows[r]]
-            ties = sorted(zip(i[o == r], j[o == r]),
-                          key=lambda xy: (pos[r, xy[0]], pos[r, xy[1]]))
-            x[r], y[r] = max(ties, key=lambda xy: (targets[xy[0]], targets[xy[1]]))
         return x, y
 
     def values(self, normalize):
         """Each row's propagated value, clamped to [0, 1]: the weighted sum
         in row order or, under ``normalize``, the truncated sum of a row whose
         edge mass exceeds one.  Sums run left to right like Python's ``sum``
-        (a cumulative sum; empty slots and positions add exact zeros)."""
+        (a cumulative sum; empty slots and positions add zeros)."""
         line = np.arange(len(self.pos))[:, None]
         mass = np.zeros((len(self.pos), self.stack.empty + 1))
         terms = np.zeros_like(mass)
@@ -296,10 +255,6 @@ class _Block:
                                                     & (key[:, None, :] < key[:, :, None]))
         width = b.shape[1]
         rank = np.where(live, np.count_nonzero(below & live[:, None, :], axis=2), width)
-        for r in np.flatnonzero(self.exact[rows]):
-            targets, pos = self.targets[rows[r]], self.pos[rows[r]]
-            order = sorted(np.flatnonzero(live[r]), key=lambda s: (v[r, s], targets[s], pos[s]))
-            rank[r, order] = np.arange(len(order))
         line = np.arange(len(rows))
         w = np.zeros((len(rows), width + 1))
         ranked = np.zeros_like(w)

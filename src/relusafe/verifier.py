@@ -29,13 +29,12 @@ do not interact within a horizon step, so each step reads the node values
 once and runs the greedy merge of all owners in lockstep, one merge per
 owner and round, in blocks of owners under a fixed budget of target pairs;
 the plain and normalized sums then read every row off the same arrays.
-``naive_step``, ``tpn_step`` and ``merge_pass`` run the same code on a
-stack of all rows or of one.
+``naive_step`` and ``tpn_step`` run the same code for one step.  Rows hold
+distinct cell targets and at most one sink, as ``build_graph`` makes them.
 """
 
 from __future__ import annotations
 
-import copy
 import csv
 import io
 from dataclasses import dataclass, field, replace
@@ -87,21 +86,16 @@ def init_p0(scenario):
     return bounds
 
 
-def _check_merge_p(p):
-    if not (0.0 < p < 0.5):
-        raise VerifierError("merge threshold p must lie in (0, 0.5)")
-
-
-def _separation(graph, p, cells):
+def _separation(graph, p):
     """Boolean matrix ``S[a, b]``: the grown chance sets of cells a and b are disjoint.
 
-    Decided for every unordered pair of ``cells`` (cell indices) by
+    Decided for every unordered pair of the graph's cells by
     :func:`relusafe.geometry.box_pairs`, and the pairs it leaves undecided
     by one batch of emptiness LPs, in which an LP that fails numerically
-    reads "not separated" (no merge, so the bound stays conservative);
-    rows and columns of other indices, and the diagonal, stay False.
+    reads "not separated" (no merge, so the bound stays conservative); the
+    diagonal stays False.
     """
-    cells = sorted(cells)
+    cells = sorted(v.cells[0] for v in graph.cell_nodes())
     size = cells[-1] + 1 if cells else 0
     sep = np.zeros((size, size), dtype=bool)
     grown = [augmented_set(graph.regions[cell_node(c)], p, graph.sigma) for c in cells]
@@ -128,37 +122,25 @@ def _node_values(stack, bounds_k):
     return [node_bound(bounds_k, node) for node in stack.nodes]
 
 
-def _propagate(graph, bounds_k, normalize):
+def _cell_rows(graph):
+    """The graph's cells and the :class:`RowStack` of their rows, each of
+    distinct cell targets and at most one sink (else :class:`VerifierError`)."""
     cells = graph.cell_nodes()
-    stack = RowStack(cells, [graph.edges[v] for v in cells])
+    rows = [graph.edges[v] for v in cells]
+    for v, row in zip(cells, rows):
+        targets = [e.target for e in row]
+        if len(set(targets)) < len(targets) or any(t.kind == "merged" for t in targets):
+            raise VerifierError(f"row of {v} must hold distinct cell targets "
+                                "and at most one sink")
+    return cells, RowStack(cells, rows)
+
+
+def _propagate(graph, bounds_k, normalize):
+    cells, stack = _cell_rows(graph)
     values, _ = stack.step(_node_values(stack, bounds_k), normalize)
     out = dict(zip(cells, values))
     out[UNSAFE] = 1.0
     return out
-
-
-def merge_pass(graph, owner, p, bounds_k):
-    """Functional single-owner merge: returns (new_graph, records).
-
-    The graph must carry cell regions and the noise vector (see
-    ``TransitionGraph.bind_scenario``).  Merged target nodes get no outgoing
-    edges; their safety bound is the max over members.  Surviving edges
-    keep their row order, and each merged edge goes to the end of the row.
-    """
-    _check_merge_p(p)
-    if graph.sigma is None or not graph.regions:
-        raise VerifierError("graph lacks scenario bindings; call bind_scenario first")
-    row = graph.edges[owner]
-    stack = RowStack([owner], [row])
-    sep = stack.separation(_separation(graph, p, {c for e in row for c in e.target.cells}))
-    (merged,), records = stack.merge_rows(_node_values(stack, bounds_k), sep, p)
-    new_graph = copy.copy(graph)
-    new_graph.edges = {v: list(r) for v, r in graph.edges.items()}
-    new_graph.edges[owner] = merged
-    for rec in records:
-        if rec.merged not in new_graph.nodes:
-            new_graph.nodes = list(new_graph.nodes) + [rec.merged]
-    return new_graph, records
 
 
 def verify(graph, scenario, horizon, p=0.01, mode="merge+tpn"):
@@ -171,25 +153,24 @@ def verify(graph, scenario, horizon, p=0.01, mode="merge+tpn"):
     enabled, then propagates for every original cell.  A step is a function
     of the previous step's bounds alone, so once two consecutive horizons
     agree on every node the later steps repeat the last one, and are copied.
+    A row whose targets are not distinct cells plus at most one sink raises
+    :class:`VerifierError`.
     """
     if mode not in MODES:
         raise VerifierError(f"unknown mode {mode!r}; expected one of {MODES}")
     if horizon < 0:
         raise VerifierError("horizon must be >= 0")
     do_merge = mode in ("merge", "merge+tpn")
-    if do_merge:
-        _check_merge_p(p)
+    if do_merge and not 0.0 < p < 0.5:
+        raise VerifierError("merge threshold p must lie in (0, 0.5)")
     if graph.sigma is None or not graph.regions:
         graph.bind_scenario(scenario)
     normalize = mode in ("tpn", "merge+tpn")
 
     per_k = [init_p0(scenario)]
     merges = []
-    cells = graph.cell_nodes()
-    stack = RowStack(cells, [graph.edges[v] for v in cells])
-    sep = None
-    if do_merge and horizon > 0:
-        sep = stack.separation(_separation(graph, p, [v.cells[0] for v in cells]))
+    cells, stack = _cell_rows(graph)
+    sep = stack.separation(_separation(graph, p)) if do_merge and horizon > 0 else None
     # A cell that can already be unsafe at step zero stays at one: some of
     # its states have hit the unsafe set before any transition, and the
     # within-horizon event only accumulates.
@@ -227,14 +208,30 @@ def bounds_to_csv(bounds, scenario):
 
 
 def bounds_from_csv(text, scenario, mode="unknown", merge_p=None):
+    """Bounds from :func:`bounds_to_csv` text; a missing column, unknown
+    cell, non-integer ``k``, bound outside [0, 1], repeated ``(cell_id, k)``
+    row or missing horizon or cell raises :class:`VerifierError`."""
     index = {cell.id: i for i, cell in enumerate(scenario.partition)}
     per_k = {}
     reader = csv.DictReader(io.StringIO(text))
+    missing = sorted({"cell_id", "k", "bound"} - set(reader.fieldnames or ()))
+    if missing:
+        raise VerifierError(f"bounds file lacks column(s) {', '.join(missing)}")
     for row in reader:
         if row["cell_id"] not in index:
             raise VerifierError(f"unknown cell id {row['cell_id']!r} in bounds file")
-        k = int(row["k"])
-        per_k.setdefault(k, {})[cell_node(index[row["cell_id"]])] = float(row["bound"])
+        try:
+            k, bound = int(row["k"]), float(row["bound"])
+        except (TypeError, ValueError):
+            raise VerifierError(f"bad k {row['k']!r} or bound {row['bound']!r} "
+                                "in bounds file") from None
+        if not 0.0 <= bound <= 1.0:
+            raise VerifierError(f"bound {bound!r} outside [0, 1] in bounds file")
+        level, node = per_k.setdefault(k, {}), cell_node(index[row["cell_id"]])
+        if node in level:
+            raise VerifierError(f"repeated row for cell {row['cell_id']!r} at k = {k} "
+                                "in bounds file")
+        level[node] = bound
     if not per_k or sorted(per_k) != list(range(max(per_k) + 1)):
         raise VerifierError("bounds file has missing horizons")
     horizon = max(per_k)

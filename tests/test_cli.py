@@ -60,6 +60,18 @@ def test_render_from_csv(workdir):
     assert out.read_bytes().startswith(b"P6\n")
 
 
+def test_render_bounds_without_bound_column_exits_with_message(workdir):
+    bounds = workdir / "bounds_no_column.csv"
+    bounds.write_text("cell_id,k\nc0,0\n")
+    with pytest.raises(SystemExit) as info:
+        cli.main(["render", "--scenario", str(workdir / "scen.json"),
+                  "--bounds", str(bounds), "--k", "0",
+                  "--out", str(workdir / "no_column.ppm")])
+    message = str(info.value.code)
+    assert message.startswith("verifier error: ") and "\n" not in message
+    assert "bound" in message
+
+
 def test_refine_auto_roundtrip(workdir):
     bounds = workdir / "bounds.csv"
     code = cli.main(["refine", "--scenario", str(workdir / "scen.json"),

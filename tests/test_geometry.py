@@ -38,11 +38,14 @@ def test_quantile_inverts_quadrature_cdf():
 def test_quantile_antisymmetry():
     for q in (0.01, 0.2, 0.37, 0.49):
         assert gaussian_quantile(q) == pytest.approx(-gaussian_quantile(1.0 - q), abs=1e-12)
+    # Next to one, 1 - q is exact and the upper tail is the lower one negated.
+    for q in (2.0 ** -53, 100 * 2.0 ** -53):
+        assert gaussian_quantile(1.0 - q) == -gaussian_quantile(q)
 
 
 def test_quantile_matches_scipy_everywhere():
     qs = np.concatenate([np.linspace(1e-6, 1 - 1e-6, 997),
-                         [1e-9, 1e-12, 1 - 1e-9]])
+                         [1e-9, 1e-12, 1 - 1e-9, 1 - 100 * 2.0 ** -53, 1 - 2.0 ** -53]])
     for q in qs:
         assert abs(gaussian_quantile(float(q)) - ndtri(q)) <= 1e-9
 

@@ -439,10 +439,20 @@ def unknown_piece_method(edges):
     sink[6][0][5] = "bisected"
 
 
+def merged_target(edges):
+    edges[0][1] = "merged:1+2"
+
+
+def merged_method(edges):
+    edges[0][5] = "merged"
+
+
 @pytest.mark.parametrize("edit, message", [
     (unknown_method, "unknown edge method"),
     (short_entry, "malformed edge entry"),
     (unknown_piece_method, "unknown edge method"),
+    (merged_target, "bad node literal 'merged:1\\+2'"),
+    (merged_method, "unknown edge method 'merged'"),
 ])
 def test_load_rejects_bad_edge_entry(small_graph, small_scenario, edit, message):
     doc = gr.save_graph(small_graph)

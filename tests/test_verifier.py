@@ -116,6 +116,16 @@ def test_tpn_never_exceeds_naive(rng):
             assert tpn <= 1.0 + 1e-12
 
 
+def merge_pass(graph, owner, p, bounds_k, normalize=False):
+    """One merging step of ``owner``'s row alone: (its merge records as
+    ``(member_x, member_y, merged, new_bound)``, its propagated value)."""
+    stack = rowstack.RowStack([owner], [graph.edges[owner]])
+    sep = stack.separation(vf._separation(graph, p))
+    values = [vf.node_bound(bounds_k, node) for node in stack.nodes]
+    (value,), records = stack.step(values, normalize, sep, p)
+    return [(r.members[0], r.members[1], r.merged, r.new_bound) for r in records], value
+
+
 def strip_scenario(regions, sigma):
     """Row of cells for merge tests: owner in the middle."""
     graph = synthetic_graph(
@@ -132,15 +142,11 @@ def test_merge_pass_merges_far_pair():
     graph = strip_scenario(regions, sigma=[0.3, 0.3])
     bounds = {gr.cell_node(0): 0.0, gr.cell_node(1): 0.9, gr.cell_node(2): 0.9,
               gr.UNSAFE: 1.0}
-    new_graph, records = vf.merge_pass(graph, gr.cell_node(0), 0.01, bounds)
-    assert len(records) == 1
-    rec = records[0]
-    assert rec.new_bound == pytest.approx(0.51)  # max(0.5, 0.5) + p
-    merged_edge = [e for e in new_graph.edges[gr.cell_node(0)]
-                   if e.target.kind == "merged"]
-    assert len(merged_edge) == 1
-    assert merged_edge[0].target == gr.merged_node([1, 2])
-    # The original graph is untouched.
+    records, value = merge_pass(graph, gr.cell_node(0), 0.01, bounds)
+    assert records == [(gr.cell_node(1), gr.cell_node(2), gr.merged_node([1, 2]),
+                        pytest.approx(0.51))]  # max(0.5, 0.5) + p
+    assert value == pytest.approx(0.01 * 1.0 + 0.51 * 0.9)
+    # The graph is untouched.
     assert all(e.target.kind != "merged" for e in graph.edges[gr.cell_node(0)])
 
 
@@ -155,9 +161,9 @@ def test_separation_lp_failure_reads_not_separated(monkeypatch):
     graph = strip_scenario(regions, sigma=[0.3, 0.3])
     bounds = {gr.cell_node(0): 0.0, gr.cell_node(1): 0.9, gr.cell_node(2): 0.9,
               gr.UNSAFE: 1.0}
-    clean = vf._separation(graph, 0.01, [0, 1, 2])
+    clean = vf._separation(graph, 0.01)
     assert clean[0, 1] and clean[1, 2] and clean[0, 2]
-    assert len(vf.merge_pass(graph, gr.cell_node(0), 0.01, bounds)[1]) == 1
+    assert len(merge_pass(graph, gr.cell_node(0), 0.01, bounds)[0]) == 1
 
     def failing_solve(lp):
         raise linprog.LpNumericalError("injected fault")
@@ -165,10 +171,11 @@ def test_separation_lp_failure_reads_not_separated(monkeypatch):
     monkeypatch.setattr(linprog, "solve", failing_solve)
     monkeypatch.setattr(linprog, "solve_many",
                         lambda lps: [linprog.LpNumericalError("injected fault") for _ in lps])
-    faulty = vf._separation(graph, 0.01, [0, 1, 2])
+    faulty = vf._separation(graph, 0.01)
     assert faulty[0, 1] and faulty[1, 0]
     assert not faulty[1:, 2].any() and not faulty[2, :].any()
-    assert vf.merge_pass(graph, gr.cell_node(0), 0.01, bounds)[1] == []
+    plain = 0.5 * 0.9 + 0.5 * 0.9 + 0.01 * 1.0   # the row, summed in row order
+    assert merge_pass(graph, gr.cell_node(0), 0.01, bounds) == ([], plain)
 
 
 def test_merge_pass_respects_overlapping_augments():
@@ -178,8 +185,7 @@ def test_merge_pass_respects_overlapping_augments():
     graph = strip_scenario(regions, sigma=[0.3, 0.3])
     bounds = {gr.cell_node(0): 0.0, gr.cell_node(1): 0.9, gr.cell_node(2): 0.9,
               gr.UNSAFE: 1.0}
-    _, records = vf.merge_pass(graph, gr.cell_node(0), 0.01, bounds)
-    assert records == []
+    assert merge_pass(graph, gr.cell_node(0), 0.01, bounds)[0] == []
 
 
 def test_merge_pass_respects_improvement_gate():
@@ -192,14 +198,7 @@ def test_merge_pass_respects_improvement_gate():
     bounds = {gr.cell_node(0): 0.0, gr.cell_node(1): 0.0, gr.cell_node(2): 1.0,
               gr.UNSAFE: 1.0}
     # Replacement bound max(0.9 + 0.2, 0.4) would not beat 0.01*0 + 0.9*1.
-    _, records = vf.merge_pass(graph, gr.cell_node(0), 0.2, bounds)
-    assert records == []
-
-
-def test_merge_pass_requires_bindings():
-    graph = synthetic_graph({0: [(1, 0.5)], 1: []})
-    with pytest.raises(vf.VerifierError, match="bind"):
-        vf.merge_pass(graph, gr.cell_node(0), 0.01, {gr.cell_node(1): 0.5})
+    assert merge_pass(graph, gr.cell_node(0), 0.2, bounds) == ([], 0.9)
 
 
 def test_verify_horizon_zero_is_init(demo_graph, demo_scenario):
@@ -272,6 +271,47 @@ def test_csv_rejects_unknown_cell(demo_scenario):
         vf.bounds_from_csv("cell_id,k,bound\nnope,0,0.5\n", demo_scenario)
 
 
+def small_csv(scenario, edit=lambda rows: None):
+    """Bounds CSV of every cell at k = 0 and 1, with ``edit`` applied to
+    its rows (lists of strings, the header first)."""
+    rows = [["cell_id", "k", "bound"]] + [[cell.id, str(k), "0.25"]
+                                           for k in (0, 1) for cell in scenario.partition]
+    edit(rows)
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+def drop_bound_column(rows):
+    rows[:] = [row[:2] for row in rows]
+
+
+def set_field(line, column, text):
+    def edit(rows):
+        rows[line][column] = text
+    return edit
+
+
+def repeat_row(rows):
+    rows.append(list(rows[1]))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (drop_bound_column, "lacks column"),
+    (set_field(2, 1, "1.5"), "bad k"),
+    (set_field(2, 1, "one"), "bad k"),
+    (set_field(2, 2, "high"), "bad k .* or bound"),
+    (repeat_row, "repeated row"),
+    (set_field(3, 2, "nan"), "outside"),
+    (set_field(3, 2, "1.5"), "outside"),
+    (set_field(3, 2, "-0.25"), "outside"),
+], ids=["no-bound-column", "fractional-k", "word-k", "word-bound", "repeated-row",
+        "nan-bound", "bound-above-one", "negative-bound"])
+def test_csv_rejects_malformed_file(edit, message):
+    scenario = sc.make_demo_scenario(2, [6, 4], seed=4)
+    assert vf.bounds_from_csv(small_csv(scenario), scenario).horizon == 1
+    with pytest.raises(vf.VerifierError, match=message):
+        vf.bounds_from_csv(small_csv(scenario, edit), scenario)
+
+
 def test_merge_pass_tie_breaks_to_larger_target_pair():
     """Equal slack on (1, 2) and (3, 4): the larger (target_x, target_y) wins."""
     # Grown by 2.33 per side at p = 0.01, sigma = 1: only 1-2 and 3-4 stay
@@ -287,11 +327,10 @@ def test_merge_pass_tie_breaks_to_larger_target_pair():
     bounds = {gr.cell_node(i): 0.9 for i in range(1, 5)}
     bounds[gr.cell_node(0)] = 0.0
     bounds[gr.UNSAFE] = 1.0
-    new_graph, records = vf.merge_pass(graph, gr.cell_node(0), 0.01, bounds)
-    assert [rec.members for rec in records] == [
-        (gr.cell_node(3), gr.cell_node(4)), (gr.cell_node(1), gr.cell_node(2))]
-    assert [e.target for e in new_graph.edges[gr.cell_node(0)]] == [
-        gr.merged_node([3, 4]), gr.merged_node([1, 2])]
+    records, _ = merge_pass(graph, gr.cell_node(0), 0.01, bounds)
+    assert [record[:3] for record in records] == [
+        (gr.cell_node(3), gr.cell_node(4), gr.merged_node([3, 4])),
+        (gr.cell_node(1), gr.cell_node(2), gr.merged_node([1, 2]))]
 
 
 @pytest.mark.parametrize("mode", ["merge", "merge+tpn"])
@@ -394,16 +433,15 @@ def test_merge_pass_matches_scalar_reference(rng):
         graph = synthetic_graph({0: targets, **{i: [] for i in range(1, n + 1)}},
                                 sigma=[0.3, 0.3], regions=regions)
         owner = gr.cell_node(0)
-        # A second pass at other bounds starts from a row holding merged targets.
         for p in (float(rng.choice([0.01, 0.05, 0.2])), 0.001):
             bounds = {gr.cell_node(i): float(rng.choice(levels)) for i in range(n + 1)}
             bounds[gr.UNSAFE] = 1.0
             want_row, want = reference_merge_owner(graph.edges[owner], p, bounds,
                                                    graph.regions, graph.sigma)
-            graph, records = vf.merge_pass(graph, owner, p, bounds)
-            assert [(r.members[0], r.members[1], r.merged, r.new_bound)
-                    for r in records] == want
-            assert graph.edges[owner] == want_row
+            for normalize, value in ((False, reference_naive_value),
+                                     (True, reference_tpn_value)):
+                assert merge_pass(graph, owner, p, bounds, normalize) \
+                    == (want, value(want_row, bounds))
 
 
 @pytest.mark.parametrize("mode", vf.MODES)
@@ -527,55 +565,24 @@ def test_verify_matches_per_owner_reference(grid4, rng, monkeypatch, cached_empt
             assert record_tuples(bounds.merges) == records
 
 
-def strip_regions():
-    """Cells 1-3 side by side on the left, 6 and 7 far right; at p = 0.01
-    and sigma 0.3 only left-right pairs are separated."""
-    return {0: Polytope.box([4, 0], [6, 1]), 1: Polytope.box([0, 0], [1, 1]),
-            2: Polytope.box([0, 1], [1, 2]), 3: Polytope.box([1, 0], [2, 1]),
-            6: Polytope.box([9, 0], [10, 1]), 7: Polytope.box([9, 1], [10, 2])}
-
-
-def test_overlapping_targets_break_key_ties_by_node():
-    """merged:1+3 and merged:1+2 share their order key (kind, first cell);
-    the tie between their equal-slack pairs with cell 7 goes to the larger
-    node, merged:1+3, though merged:1+2 comes first in the row."""
-    m12, m13 = gr.merged_node([1, 2]), gr.merged_node([1, 3])
-    graph = synthetic_graph({0: [], 1: [], 2: [], 3: [], 7: []}, sigma=[0.3, 0.3],
-                            regions=strip_regions())
-    graph.edges[gr.cell_node(0)] = [gr.Edge(m13, 0.5), gr.Edge(m12, 0.5),
-                                    gr.Edge(gr.cell_node(7), 0.5)]
-    bounds = {gr.cell_node(i): 0.9 for i in (0, 1, 2, 3, 7)}
-    _, records = vf.merge_pass(graph, gr.cell_node(0), 0.01, bounds)
-    assert [r.members for r in records] == [(m13, gr.cell_node(7))]
-
-
-def test_overlapping_targets_match_reference(rng, cached_emptiness):
-    """Rows with repeated targets and merged groups over their own members
-    merge and propagate like the scalar reference."""
-    regions = strip_regions()
-    pool = [gr.cell_node(c) for c in (1, 2, 3, 6, 7)] + [
-        gr.merged_node(m) for m in ((1, 2), (1, 3), (2, 3), (6, 7))]
-    owners = {i: [] for i in (0, 1, 2, 3, 6, 7)}
-    for _ in range(30):
-        graph = synthetic_graph(owners, sigma=[0.3, 0.3], regions=regions)
-        for owner in owners:
-            picks = rng.choice(len(pool), size=int(rng.integers(2, 7)))
-            graph.edges[gr.cell_node(owner)] = [
-                gr.Edge(pool[i], float(rng.choice([0.2, 0.25, 0.5]))) for i in picks]
-        bounds = {gr.cell_node(i): float(rng.choice([0.1, 0.5, 0.9])) for i in owners}
-        bounds[gr.UNSAFE] = 1.0
-        for owner in owners:
-            row = graph.edges[gr.cell_node(owner)]
-            assert vf.naive_step(graph, bounds)[gr.cell_node(owner)] \
-                == reference_naive_value(row, bounds)
-            assert vf.tpn_step(graph, bounds)[gr.cell_node(owner)] \
-                == reference_tpn_value(row, bounds)
-            want_row, want = reference_merge_owner(row, 0.01, bounds, graph.regions,
-                                                   graph.sigma)
-            merged, records = vf.merge_pass(graph, gr.cell_node(owner), 0.01, bounds)
-            assert [(r.members[0], r.members[1], r.merged, r.new_bound)
-                    for r in records] == want
-            assert merged.edges[gr.cell_node(owner)] == want_row
+@pytest.mark.parametrize("targets", [
+    [gr.merged_node([1, 2]), gr.cell_node(1)],
+    [gr.cell_node(2), gr.cell_node(3), gr.cell_node(2)],
+    [gr.UNSAFE, gr.cell_node(1), gr.UNSAFE],
+], ids=["merged", "repeated-cell", "repeated-sink"])
+def test_rows_beyond_distinct_cells_and_one_sink_rejected(targets):
+    """A hand-built row holding a merged or a repeated target is refused by
+    every mode and by both single steps, not propagated."""
+    scenario = sc.make_demo_scenario(2, [6, 4], seed=4)
+    graph = synthetic_graph({i: [] for i in range(4)}).bind_scenario(scenario)
+    graph.edges[gr.cell_node(0)] = [gr.Edge(t, 0.25) for t in targets]
+    bounds = vf.init_p0(scenario)
+    for mode in vf.MODES:
+        with pytest.raises(vf.VerifierError, match="distinct cell targets"):
+            vf.verify(graph, scenario, horizon=2, mode=mode)
+    for step in (vf.naive_step, vf.tpn_step):
+        with pytest.raises(vf.VerifierError, match="distinct cell targets"):
+            step(graph, bounds)
 
 
 def test_saturated_horizons_repeat_the_last_step(monkeypatch, cached_emptiness):
