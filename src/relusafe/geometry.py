@@ -14,9 +14,9 @@ regions.  Axis-aligned polytopes (every row has one nonzero coefficient,
 as every grid cell has) also carry closed-form bounds:
 :meth:`Polytope.axis_bounds`, from which :func:`box_pairs` decides many
 pairs at once by intervals wherever the answer clears :data:`BOX_BAND`.
-Callers send only the pairs it leaves undecided, and pairs with a non-box
-member, to the LP; :func:`empty_intersections` sends a list of pairs as
-one LP batch.
+Every pair verdict of the package is one :func:`disjoint_pairs` call: the
+intervals, then one LP batch (:func:`empty_intersections`) for the pairs
+they leave undecided, in which a failed LP reads "not disjoint".
 """
 
 from __future__ import annotations
@@ -393,6 +393,25 @@ def box_pairs(polys1, polys2):
     return (np.any(widths < -BOX_BAND, axis=2), np.all(widths > BOX_BAND, axis=2), widths)
 
 
+def disjoint_pairs(polys1, polys2):
+    """Boolean matrix: ``polys1[i]`` and ``polys2[j]`` have no common point.
+
+    :func:`box_pairs` decides what it can and every other pair goes to one
+    :func:`empty_intersections` batch, in which an LP that fails
+    numerically reads "not disjoint", the conservative verdict for every
+    caller.  When ``polys2`` is ``polys1`` (the same list object) only the
+    pairs ``i < j`` are decided and mirrored, and the diagonal reads False.
+    """
+    same = polys2 is polys1
+    disjoint, overlapping, _ = box_pairs(polys1, polys2)
+    undecided = ~(disjoint | overlapping)
+    verdict = np.triu(disjoint, 1) if same else disjoint.copy()
+    rows, cols = np.nonzero(np.triu(undecided, 1) if same else undecided)
+    empty = empty_intersections([(polys1[i], polys2[j]) for i, j in zip(rows, cols)])
+    verdict[rows, cols] = [found is True for found in empty]
+    return verdict | verdict.T if same else verdict
+
+
 def outside_facets(poly, margin):
     """One halfspace polytope ``a_i . x >= b_i + margin_i`` per row of ``poly``.
 
@@ -409,18 +428,13 @@ def unsafe_overlaps(regions, workspace):
     position projection) and with each reversed domain halfspace.  Domain
     boundary contact alone does not count: the complement test carries a
     strict margin, so a cell tiling the domain edge-to-edge stays safe.
-    :func:`box_pairs` decides what it can; the remaining pairs of a region
-    not yet found unsafe go to the LP.
+    A region is safe when :func:`disjoint_pairs` proves it disjoint from
+    every piece, so an LP that fails reads unsafe.
     """
     dom = workspace.domain
     pieces = list(workspace.lifted_obstacles()) + outside_facets(
         dom, STRICT_MARGIN * np.maximum(1.0, np.linalg.norm(dom.A, axis=1)))
-    disjoint, overlapping, _ = box_pairs(regions, pieces)
-    unsafe = np.any(overlapping, axis=1)
-    for i in np.nonzero(~unsafe)[0]:
-        unsafe[i] = any(not is_empty_intersection(regions[i], pieces[j])
-                        for j in np.nonzero(~disjoint[i])[0])
-    return unsafe
+    return ~disjoint_pairs(regions, pieces).all(axis=1)
 
 
 def cell_unsafe_overlap(cell, workspace):

@@ -27,12 +27,12 @@ The build calls it once for every source row (:func:`source_rows`), so it
 makes one prune batch and one slack batch, which ``solve_many`` runs in
 fixed-size lockstep chunks; refinement calls it once for the probes of a
 split, once for the two halves' rows and once for every unsplit row's
-edges into the halves.  The targets' augmented sets at ``dq`` are
-computed once per build (:class:`RowTargets`) and shared by every row.  A
-built graph keeps each source cell's :class:`CellReach`, its reach box and
-affine pieces, in memory (:meth:`TransitionGraph.cell_reach`), so refinement does not
-enumerate them again; the reach is not saved, and a loaded graph makes it
-on first use.
+edges into the halves.  Each call computes its regions' augmented sets at
+``dq``, the target side of its prune tests, once for all of its sources.
+A built graph keeps each source cell's :class:`CellReach`, its reach box
+and affine pieces, in memory (:meth:`TransitionGraph.cell_reach`), so
+refinement does not enumerate them again; the reach is not saved, and a
+loaded graph makes it on first use.
 
 Every cell also gets an edge to the absorbing unsafe sink, bounding the
 one-step probability of entering an obstacle or leaving the domain; the sink
@@ -220,26 +220,6 @@ class CellReach:
                 and self.scenario.controller is scenario.controller)
 
 
-def prune_sets(regions, dq, sigma):
-    """Each region's augmented set at ``dq``: the target side of its prune
-    test.  A successor mean outside it violates some row with probability
-    above ``1 - dq``, so a reach box that misses it moves no source state
-    into the region with probability ``dq`` or more."""
-    return [augmented_set(region, dq, sigma) for region in regions]
-
-
-class RowTargets:
-    """What every source row shares: its targets, the partition cells in
-    index order and then the unsafe pieces, and their :func:`prune_sets`.
-    A build makes one and hands it to every row."""
-
-    def __init__(self, scenario, dq):
-        self.num_cells = scenario.num_cells
-        self.pieces = unsafe_pieces(scenario.workspace)
-        self.regions = [cell.region for cell in scenario.partition] + self.pieces
-        self.prune_sets = prune_sets(self.regions, dq, scenario.dynamics.sigma)
-
-
 def _pruned(pairs):
     """Per ``(box, target)`` pair, True when the target misses the box; a
     prune LP that fails numerically reads False, so its pair is bracketed
@@ -277,22 +257,24 @@ def threshold_bracket(z_star, tol, dq):
     return q_lo, q_hi
 
 
-def estimate_edges(scenario, reaches, regions, dq, aug_sets=None):
+def estimate_edges(scenario, reaches, regions, dq):
     """Bound the one-step probability from each source into each of ``regions``.
 
     ``reaches`` holds one :class:`CellReach` per source cell; the result
     holds one list of edge tails per source, one tail per region.  A pair
     the reach box prunes reads ``(dq, 0.0, dq, "pruned")``, any other
     ``(q_hi, q_lo, q_hi, "smc")`` from :func:`threshold_bracket`.  The
-    prune LPs of every pair run as one LP batch, then the slack LPs of
-    every source's affine pieces against its unpruned regions as another
-    (:func:`relusafe.smc.max_slacks`).  ``aug_sets`` are the regions'
-    :func:`prune_sets`, computed when not given.
+    prune test asks whether the reach box misses the region's augmented
+    set at ``dq``: a successor mean outside it violates some row with
+    probability above ``1 - dq``, so no source state moves into the region
+    with probability ``dq`` or more.  The prune LPs of every pair run as
+    one LP batch, then the slack LPs of every source's affine pieces
+    against its unpruned regions as another
+    (:func:`relusafe.smc.max_slacks`).
     """
     sigma = scenario.dynamics.sigma
-    if aug_sets is None:
-        aug_sets = prune_sets(regions, dq, sigma)
-    cuts = iter(_pruned([(reach.box, aug) for reach in reaches for aug in aug_sets]))
+    grown = [augmented_set(region, dq, sigma) for region in regions]
+    cuts = iter(_pruned([(reach.box, aug) for reach in reaches for aug in grown]))
     pruned = [[next(cuts) for _ in regions] for _ in reaches]
     open_regions = [[region for region, cut in zip(regions, row) if not cut] for row in pruned]
     # Pieces only for the sources with an unpruned region.
@@ -343,21 +325,21 @@ def sink_edge(scenario, cell, dq, reach=None):
     return sink_from_tails(pieces, estimate_edges(scenario, [reach], pieces, dq)[0])
 
 
-def source_rows(scenario, cells, dq, targets, reaches=None):
+def source_rows(scenario, cells, dq, reaches=None):
     """All outgoing edges of each of ``cells``, one row per cell: every
-    partition cell in index order, then the sink.  One
+    partition cell of ``scenario`` in index order, then the sink.  One
     :func:`estimate_edges` call covers every row, the partition and the
     unsafe pieces, so the prune LPs of all the rows run as one batch and
-    their slack LPs as another.  ``targets`` is the build's
-    :class:`RowTargets` and ``reaches`` the cells' :class:`CellReach`,
-    made when not given."""
+    their slack LPs as another.  ``reaches`` are the cells'
+    :class:`CellReach`, made when not given."""
     if reaches is None:
         reaches = [CellReach(scenario, cell) for cell in cells]
-    n = targets.num_cells
+    n = scenario.num_cells
+    pieces = unsafe_pieces(scenario.workspace)
+    regions = [cell.region for cell in scenario.partition] + pieces
     return [[Edge(cell_node(j), *tail) for j, tail in enumerate(tails[:n])]
-            + [sink_from_tails(targets.pieces, tails[n:])]
-            for tails in estimate_edges(scenario, reaches, targets.regions, dq,
-                                        aug_sets=targets.prune_sets)]
+            + [sink_from_tails(pieces, tails[n:])]
+            for tails in estimate_edges(scenario, reaches, regions, dq)]
 
 
 def build_graph(scenario, dq, jobs=1):
@@ -365,26 +347,23 @@ def build_graph(scenario, dq, jobs=1):
 
     One :func:`source_rows` call estimates every source row; with ``jobs >
     1`` each worker process makes that call on one contiguous slice of the
-    cells, and the rows come back in cell order.  The rows'
-    :class:`RowTargets` are made once and shared by every row.  With one
-    job the graph keeps each source cell's :class:`CellReach` (see
+    cells, and the rows come back in cell order.  With one job the graph
+    keeps each source cell's :class:`CellReach` (see
     :meth:`TransitionGraph.cell_reach`).  Any worker failure aborts the
     build; partial graphs are never returned.
     """
     n = scenario.num_cells
-    targets = RowTargets(scenario, dq)
     reaches = {}
     if jobs > 1:
         parts = max(1, min(jobs, n))
         slices = [scenario.partition[n * p // parts:n * (p + 1) // parts] for p in range(parts)]
         with ProcessPoolExecutor(max_workers=parts) as pool:
-            rows = [row for part in pool.map(source_rows, [scenario] * parts, slices,
-                                             [dq] * parts, [targets] * parts)
+            rows = [row for part in pool.map(source_rows, [scenario] * parts, slices, [dq] * parts)
                     for row in part]
     else:
         reaches = {cell_node(i): CellReach(scenario, cell)
                    for i, cell in enumerate(scenario.partition)}
-        rows = source_rows(scenario, scenario.partition, dq, targets, list(reaches.values()))
+        rows = source_rows(scenario, scenario.partition, dq, list(reaches.values()))
 
     nodes = [cell_node(i) for i in range(n)] + [UNSAFE]
     edges = {cell_node(i): row for i, row in enumerate(rows)}
@@ -406,6 +385,16 @@ def build_graph(scenario, dq, jobs=1):
 
 
 def save_graph(graph):
+    """The document :func:`load_graph` reads back.  An edge from or to a
+    merged node, or with a method (its own or a sink piece's) outside
+    :data:`EDGE_METHODS`, cannot be written: :class:`GraphError`."""
+    for source, row in graph.edges.items():
+        for e in row:
+            if "merged" in (source.kind, e.target.kind):
+                raise GraphError(f"cannot save edge {source}->{e.target}: "
+                                 "merged nodes live inside a verify step")
+            for method in (e.method, *(record[4] for record in e.pieces)):
+                _method(method)
     payload = json.dumps({
         "nodes": [str(v) for v in graph.nodes],
         "edges": [

@@ -19,8 +19,8 @@ import numpy as np
 
 from .geometry import (DegenerateSplitError, Hyperplane, chebyshev_center,
                        gaussian_quantile, split_many)
-from .graph import (UNSAFE, CellReach, Edge, RowTargets, TransitionGraph, cell_node,
-                    estimate_edges, sink_from_tails, source_rows, unsafe_pieces)
+from .graph import (UNSAFE, CellReach, Edge, TransitionGraph, cell_node, estimate_edges,
+                    sink_from_tails, source_rows, unsafe_pieces)
 from .scenario import PartitionCell, Scenario
 from .smc import max_slack, slack_tolerance
 
@@ -237,7 +237,6 @@ def _rebuild_graph(new_scenario, graph, cell_map, reach):
     dq = graph.dq
     halves = next(new for new in cell_map if len(new) == 2)
     old_index = {new: old for old, news in enumerate(cell_map) for new in news}
-    targets = RowTargets(new_scenario, dq)
     reach = dict(reach)
     for j in halves:
         node = cell_node(j)
@@ -246,10 +245,9 @@ def _rebuild_graph(new_scenario, graph, cell_map, reach):
     unsplit = [i for i in range(new_scenario.num_cells) if i not in halves]
     into_halves = dict(zip(unsplit, estimate_edges(
         new_scenario, [reach[cell_node(i)] for i in unsplit],
-        [targets.regions[j] for j in halves], dq,
-        aug_sets=[targets.prune_sets[j] for j in halves])))
+        [new_scenario.partition[j].region for j in halves], dq)))
     half_rows = dict(zip(halves, source_rows(
-        new_scenario, [new_scenario.partition[j] for j in halves], dq, targets,
+        new_scenario, [new_scenario.partition[j] for j in halves], dq,
         [reach[cell_node(j)] for j in halves])))
     edges = {}
     for i in range(new_scenario.num_cells):

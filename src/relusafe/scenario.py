@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import (EPS_GEO, STRICT_MARGIN, GeometryError, Polytope, box_pairs,
-                       is_empty_intersection, outside_facets)
+                       disjoint_pairs, outside_facets)
 
 SCENARIO_FORMAT = "relusafe-scenario-v1"
 # Most entries of the per-axis lookup table (9 MB); larger partitions loop over their cells.
@@ -452,9 +452,10 @@ def validate_scenario(scenario):
     """Check the cross-cutting scenario invariants, raising on the first failure.
 
     Pairwise cell disjointness is decided on regions shrunk by the strict
-    margin, containment of every cell in the domain against the domain's
-    margin-shifted outsides; :func:`relusafe.geometry.box_pairs` decides
-    the axis-aligned pairs, and the rest go to emptiness and support LPs.
+    margin, containment of every cell in the domain as disjointness from
+    the domain's margin-shifted outsides, both by
+    :func:`relusafe.geometry.disjoint_pairs`; a pair whose LP fails reads
+    as overlapping, so the scenario is refused rather than trusted.
     Full coverage of the domain is checked on a deterministic grid of
     sample points (an exact polyhedral union test would need region
     differencing, which this package does not carry).  When the domain and
@@ -485,21 +486,18 @@ def validate_scenario(scenario):
     cells = scenario.partition
     regions = [cell.region for cell in cells]
     dom = scenario.workspace.domain
-    inside, leaves, _ = box_pairs(regions, outside_facets(dom, STRICT_MARGIN))
-    for i, f in zip(*np.nonzero(~(inside | leaves))):
-        leaves[i, f] = regions[i].extreme(dom.A[f], "max") > dom.b[f] + STRICT_MARGIN
+    leaves = ~disjoint_pairs(regions, outside_facets(dom, STRICT_MARGIN))
     shrunk = [Polytope(r.A, r.b - STRICT_MARGIN) for r in regions]
-    apart, overlap, _ = box_pairs(shrunk, shrunk)
-    overlap = np.triu(overlap, 1)
-    for i, j in zip(*np.nonzero(np.triu(~(apart | overlap), 1))):
-        overlap[i, j] = not is_empty_intersection(shrunk[i], shrunk[j])
+    overlap = np.triu(~disjoint_pairs(shrunk, shrunk), 1)
     bad = np.nonzero(leaves.any(axis=1) | overlap.any(axis=1))[0]
     if len(bad):
         i = bad[0]
         if leaves[i].any():
-            raise ScenarioError(f"cell {cells[i].id}: leaves the domain")
+            raise ScenarioError(f"cell {cells[i].id}: leaves the domain "
+                                "or could not be proven inside it")
         j = int(np.argmax(overlap[i]))
-        raise ScenarioError(f"cells {cells[i].id} and {cells[j].id} overlap")
+        raise ScenarioError(f"cells {cells[i].id} and {cells[j].id} overlap "
+                            "or could not be proven disjoint")
 
     lo, hi = dom.bounding_box()
     axes = [np.linspace(lo[d], hi[d], COVERAGE_SAMPLES) for d in range(dyn.n)]
@@ -580,7 +578,7 @@ def scenario_sha256(scenario):
     return scenario.sha256
 
 
-def load_scenario(text, validate=True):
+def load_scenario(text):
     """Parse and validate a scenario document.
 
     Raises :class:`ScenarioError` naming the offending element on malformed
@@ -641,9 +639,7 @@ def load_scenario(text, validate=True):
 
     scenario = Scenario(dynamics=dynamics, controller=controller,
                         workspace=workspace, partition=tuple(cells))
-    if validate:
-        validate_scenario(scenario)
-    return scenario
+    return validate_scenario(scenario)
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Horizon propagation of safety-probability upper bounds.
 
-Starting from the indicator of immediate unsafety, each horizon step bounds
-the probability of reaching the unsafe sink within k+1 steps from the k-step
+Starting from the indicator of immediate unsafety, one on every cell not
+proven disjoint from the unsafe set, each horizon step bounds the
+probability of reaching the unsafe sink within k+1 steps from the k-step
 bounds of the neighbors.  Two tightenings are available on top of the plain
 weighted sum:
 
@@ -22,13 +23,14 @@ the max over members, enters the recursion.
 
 Merging needs a threshold ``p`` in (0, 0.5), the range of the union-bound
 argument above.  ``verify`` decides the separation of every pair of cells
-once per call (by intervals for pairs of box cells, by one batch of
-emptiness LPs for the pairs they leave undecided) and stacks every owner's
-row once on the arrays of a :class:`~relusafe.rowstack.RowStack`.  Owners
-do not interact within a horizon step, so each step reads the node values
-once and runs the greedy merge of all owners in lockstep, one merge per
-owner and round, in blocks of owners under a fixed budget of target pairs;
-the plain and normalized sums then read every row off the same arrays.
+once per call (:func:`relusafe.geometry.disjoint_pairs`: intervals for
+pairs of box cells, one batch of emptiness LPs for the rest, a failed LP
+reading "not separated") and stacks every owner's row once on the arrays
+of a :class:`~relusafe.rowstack.RowStack`.  Owners do not interact within
+a horizon step, so each step reads the node values once and runs the
+greedy merge of all owners in lockstep, one merge per owner and round, in
+blocks of owners under a fixed budget of target pairs; the plain and
+normalized sums then read every row off the same arrays.
 ``naive_step`` and ``tpn_step`` run the same code for one step.  Rows hold
 distinct cell targets and at most one sink, as ``build_graph`` makes them.
 """
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import augmented_set, box_pairs, empty_intersections, unsafe_overlaps
+from .geometry import augmented_set, disjoint_pairs, unsafe_overlaps
 from .graph import UNSAFE, cell_node
 from .rowstack import MergeRecord, RowStack  # MergeRecord: verify's records, re-exported
 
@@ -79,7 +81,8 @@ def node_bound(bounds_k, node):
 
 
 def init_p0(scenario):
-    """Horizon-zero bounds: one on cells that can touch the unsafe set."""
+    """Horizon-zero bounds: one on cells that can touch the unsafe set, or
+    whose emptiness LP failed (:func:`relusafe.geometry.unsafe_overlaps`)."""
     unsafe = unsafe_overlaps([cell.region for cell in scenario.partition], scenario.workspace)
     bounds = {cell_node(i): 1.0 if hit else 0.0 for i, hit in enumerate(unsafe)}
     bounds[UNSAFE] = 1.0
@@ -90,21 +93,15 @@ def _separation(graph, p):
     """Boolean matrix ``S[a, b]``: the grown chance sets of cells a and b are disjoint.
 
     Decided for every unordered pair of the graph's cells by
-    :func:`relusafe.geometry.box_pairs`, and the pairs it leaves undecided
-    by one batch of emptiness LPs, in which an LP that fails numerically
-    reads "not separated" (no merge, so the bound stays conservative); the
-    diagonal stays False.
+    :func:`relusafe.geometry.disjoint_pairs`, in which an LP that fails
+    numerically reads "not separated" (no merge, so the bound stays
+    conservative); the diagonal stays False.
     """
     cells = sorted(v.cells[0] for v in graph.cell_nodes())
     size = cells[-1] + 1 if cells else 0
     sep = np.zeros((size, size), dtype=bool)
     grown = [augmented_set(graph.regions[cell_node(c)], p, graph.sigma) for c in cells]
-    disjoint, overlapping, _ = box_pairs(grown, grown)
-    disjoint = np.triu(disjoint, 1)
-    undecided = np.nonzero(np.triu(~(disjoint | overlapping), 1))
-    empty = empty_intersections([(grown[i], grown[j]) for i, j in zip(*undecided)])
-    disjoint[undecided] = [verdict is True for verdict in empty]
-    sep[np.ix_(cells, cells)] = disjoint | disjoint.T
+    sep[np.ix_(cells, cells)] = disjoint_pairs(grown, grown)
     return sep
 
 

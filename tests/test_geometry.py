@@ -380,7 +380,7 @@ def test_every_pipeline_interval_verdict_equals_lp(workload, request, monkeypatc
         calls.append((list(polys1), list(polys2), out[0], out[1]))
         return out
 
-    for module in (geometry, sc, verifier):
+    for module in (geometry, sc):
         monkeypatch.setattr(module, "box_pairs", spy)
     obstacle = [((6.5, 2.5), (7.5, 3.5))]
     if workload == "demo5":
@@ -408,3 +408,90 @@ def test_every_pipeline_interval_verdict_equals_lp(workload, request, monkeypatc
                 assert disjoint[i, j] == is_empty_intersection(p, q)
                 checked += 1
     assert checked > undecided > 0
+
+
+def mixed_polys(rng, count):
+    """Boxes on a coarse grid, touching or apart, every third one cut by a
+    random oblique halfspace through its center."""
+    polys = []
+    for k in range(count):
+        lo = rng.integers(0, 5, size=2).astype(float)
+        size = rng.integers(1, 3, size=2)
+        box = Polytope.box(lo, lo + size)
+        if k % 3 == 2:
+            normal = rng.normal(size=2)
+            box = box.with_extra(normal, normal @ (lo + 0.5 * size) + rng.uniform(0.0, 0.5))
+        polys.append(box)
+    return polys
+
+
+def pairwise_lp(polys1, polys2):
+    return np.array([[is_empty_intersection(p, q) for q in polys2] for p in polys1])
+
+
+def test_disjoint_pairs_equal_pairwise_lp(rng):
+    """Both forms give the LP's verdict on every pair; the same-list form
+    reads False on its diagonal, which a distinct equal list decides."""
+    polys, others = mixed_polys(rng, 15), mixed_polys(rng, 8)
+    disjoint, overlapping, _ = geometry.box_pairs(polys, others)
+    assert disjoint.any() and overlapping.any() and not (disjoint | overlapping).all()
+    assert np.array_equal(geometry.disjoint_pairs(polys, others), pairwise_lp(polys, others))
+    want = pairwise_lp(polys, polys)
+    assert np.array_equal(geometry.disjoint_pairs(polys, list(polys)), want)
+    np.fill_diagonal(want, False)
+    assert np.array_equal(geometry.disjoint_pairs(polys, polys), want)
+    assert want.any() and not want.all()
+    assert geometry.disjoint_pairs([], []).shape == (0, 0)
+    assert geometry.disjoint_pairs([], others).shape == (0, 8)
+
+
+@pytest.mark.parametrize("same", [True, False])
+def test_disjoint_pairs_failed_lp_reads_not_disjoint(rng, monkeypatch, same):
+    """An emptiness LP that fails numerically reads "not disjoint"; the
+    pairs the intervals decide keep their verdict, and the interval
+    verdicts themselves are left as box_pairs returned them."""
+    polys = mixed_polys(rng, 15)
+    others = polys if same else mixed_polys(rng, 8)
+    clean = geometry.disjoint_pairs(polys, others)
+    returned = []
+    real = geometry.box_pairs
+
+    def spy(polys1, polys2):
+        out = real(polys1, polys2)
+        returned.append((out[0], out[0].copy()))
+        return out
+
+    monkeypatch.setattr(geometry, "box_pairs", spy)
+    monkeypatch.setattr(linprog, "solve_many",
+                        lambda lps: [linprog.LpNumericalError("injected") for _ in lps])
+    faulty = geometry.disjoint_pairs(polys, others)
+    ((array, copy),) = returned
+    assert np.array_equal(array, copy)
+    disjoint, overlapping, _ = real(polys, others)
+    decided = disjoint | overlapping
+    assert np.array_equal(faulty[decided], clean[decided])
+    assert not faulty[~decided].any() and clean[~decided].any()
+
+
+def test_containment_verdict_matches_support_lp(rng):
+    """Away from ties, a cell meets the domain's margin-shifted outside of
+    a row exactly when its support LP along that row exceeds the row's
+    offset by the margin (the test validation asked before both became
+    one emptiness question)."""
+    dom = Polytope.box([0.0, 0.0], [10.0, 10.0]).with_extra([1.0, 1.0], 17.0)
+    outsides = geometry.outside_facets(dom, geometry.STRICT_MARGIN)
+    cells = []
+    for _ in range(40):
+        lo = rng.uniform(-1.0, 9.0, size=2)
+        normal = rng.normal(size=2)
+        box = Polytope.box(lo, lo + rng.uniform(0.5, 3.0, size=2))
+        cells.append(box.with_extra(normal, normal @ (lo + 0.25) + rng.uniform(0.0, 1.0)))
+    leaves = ~geometry.disjoint_pairs(cells, outsides)
+    compared = []
+    for i, cell in enumerate(cells):
+        for f in range(dom.num_halfspaces):
+            above = cell.extreme(dom.A[f], "max") - (dom.b[f] + geometry.STRICT_MARGIN)
+            if abs(above) > 1e-6:
+                assert leaves[i, f] == (above > 0.0)
+                compared.append(above > 0.0)
+    assert len(compared) > 150 and 0 < sum(compared) < len(compared)

@@ -5,6 +5,7 @@ structure, and document persistence."""
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -460,6 +461,38 @@ def test_load_rejects_bad_edge_entry(small_graph, small_scenario, edit, message)
     assert resigned(doc, lambda edges: None) == doc
     with pytest.raises(gr.GraphError, match=message):
         gr.load_graph(resigned(doc, edit), small_scenario)
+
+
+def edit_first_edge(**change):
+    def edit(edges):
+        row = edges[gr.cell_node(0)]
+        row[0] = replace(row[0], **change)
+    return edit
+
+
+def merged_source(edges):
+    edges[gr.merged_node([1, 2])] = list(edges[gr.cell_node(0)])
+
+
+def sink_piece_method(edges):
+    sink = edges[gr.cell_node(0)][-1]
+    piece = sink.pieces[0][:4] + ("bisected",)
+    edges[gr.cell_node(0)][-1] = replace(sink, pieces=(piece,) + sink.pieces[1:])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (edit_first_edge(method="merged"), "unknown edge method 'merged'"),
+    (edit_first_edge(target=gr.merged_node([1, 2])), "merged nodes"),
+    (merged_source, "merged nodes"),
+    (sink_piece_method, "unknown edge method 'bisected'"),
+], ids=["merged-method", "merged-target", "merged-source", "piece-method"])
+def test_save_rejects_what_load_refuses(small_graph, edit, message):
+    """An in-memory graph with a merged node or an unknown method fails at
+    the write, not at the load of the document it would have written."""
+    edges = {source: list(row) for source, row in small_graph.edges.items()}
+    edit(edges)
+    with pytest.raises(gr.GraphError, match=message):
+        gr.save_graph(replace(small_graph, edges=edges))
 
 
 @pytest.mark.parametrize("payload", ['{"nodes": []}', '{"nodes": [], "edges": 5}',

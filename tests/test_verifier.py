@@ -9,6 +9,7 @@ import pytest
 
 from relusafe import graph as gr
 from relusafe import linprog
+from relusafe import refine as rf
 from relusafe import rowstack
 from relusafe import scenario as sc
 from relusafe import verifier as vf
@@ -176,6 +177,31 @@ def test_separation_lp_failure_reads_not_separated(monkeypatch):
     assert not faulty[1:, 2].any() and not faulty[2, :].any()
     plain = 0.5 * 0.9 + 0.5 * 0.9 + 0.01 * 1.0   # the row, summed in row order
     assert merge_pass(graph, gr.cell_node(0), 0.01, bounds) == ([], plain)
+
+
+def test_refined_demo5_under_lp_failure_pins_and_refuses(demo_scenario, monkeypatch):
+    """With every infeasibility certificate failing its audit, nothing
+    proves the refined demo5 scenario's oblique halves safe or its cells
+    disjoint: ``verify`` pins the halves at one instead of raising, and
+    validation refuses the scenario."""
+    graph = gr.build_graph(demo_scenario, 0.01)
+    bounds = vf.verify(graph, demo_scenario, 9)
+    source, edge = rf.select_target(graph, bounds, k=9)
+    result = rf.refine_cell(demo_scenario, graph, bounds, source, edge.target, steps=4)
+    halves = [gr.cell_node(i) for i, cell in enumerate(result.scenario.partition)
+              if cell.id in ("c15a", "c15b")]
+    assert len(halves) == 2
+    assert all(result.scenario.partition[v.cells[0]].region.axis_bounds() is None
+               for v in halves)
+    clean = vf.verify(result.graph, result.scenario, 9)
+    assert all(clean.per_k[0][v] == 0.0 for v in halves)
+    monkeypatch.setattr(linprog, "_farkas_holds",
+                        lambda weights, A, b, tol: np.zeros(len(weights), dtype=bool))
+    faulty = vf.verify(result.graph, result.scenario, 9)
+    assert all(faulty.per_k[k][v] == 1.0 for k in range(10) for v in halves)
+    assert all(0.0 <= faulty.per_k[k][v] <= 1.0 for k in range(10) for v in faulty.cell_nodes())
+    with pytest.raises(sc.ScenarioError, match="could not be proven"):
+        sc.validate_scenario(result.scenario)
 
 
 def test_merge_pass_respects_overlapping_augments():
